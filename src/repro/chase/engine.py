@@ -39,8 +39,9 @@ the oblivious memory, the fair-scheduling ages, the fresh-null counter,
 and the core-cadence bookkeeping.  :meth:`ChaseEngine.export_state`
 captures it as a :class:`ChaseState`; :meth:`ChaseEngine.restore_state`
 rebuilds a fresh engine from one (the trigger index, homomorphism memo
-and core-maintenance certificates are *derived* structures and are
-reconstructed on demand, so they never need to be persisted).  A
+and core-maintenance certificates are *derived* structures, built on
+the first step, so they never need to be persisted — and a restore
+whose resume takes no step never builds them at all).  A
 restored run continues the original derivation exactly: ages carry the
 absolute birth steps via an internal offset, so fair scheduling makes
 the same choices it would have made without the checkpoint, and the
@@ -179,11 +180,11 @@ class ChaseState:
 
     Everything here is *primary* state: the derived accelerators
     (trigger index, positional atom index, homomorphism memo,
-    core-maintenance certificates) are rebuilt on restore.  ``ages`` and
-    ``applied_keys`` use the engine's canonical trigger keys —
-    ``(rule_name, image)`` with ``image`` a sorted tuple of
-    ``(Variable, Term)`` pairs — so a state is meaningful only together
-    with the KB it was exported from;
+    core-maintenance certificates) are built on the first step after a
+    restore.  ``ages`` and ``applied_keys`` use the engine's canonical
+    trigger keys — ``(rule_name, image)`` with ``image`` a sorted tuple
+    of ``(Variable, Term)`` pairs — so a state is meaningful only
+    together with the KB it was exported from;
     :mod:`repro.service.snapshots` pairs it with a KB fingerprint on
     disk for exactly that reason.
     """
@@ -523,7 +524,10 @@ class ChaseEngine:
         the caller's responsibility — see
         :mod:`repro.service.snapshots`, which enforces it with a
         fingerprint).  Derived structures (trigger index, core
-        certificates) are rebuilt from the restored instance.
+        certificates) are built on the first step, from the instance
+        current then: a resume that stops before computing an active
+        pool — a zero budget, a restored fixpoint, a query that already
+        holds — never pays for them.
         """
         if state.variant != self.variant:
             raise ValueError(
@@ -553,7 +557,8 @@ class ChaseEngine:
             self._terminated = state.terminated
             self._applications_since_core = state.applications_since_core
             self.applications_offset = state.applications
-            self._install_index(current)
+            self._index = None
+            self._index_pending = self.use_index
 
     def _make_maintainer(self) -> Optional[CoreMaintainer]:
         # The incremental maintainer needs the per-step delta, which
@@ -568,6 +573,7 @@ class ChaseEngine:
         return None
 
     def _install_index(self, current: AtomSet) -> None:
+        self._index_pending = False
         if self.use_index:
             # The compiled index engages only when the compiled layer is
             # actually on in the ambient configuration (it may be scoped
@@ -630,6 +636,10 @@ class ChaseEngine:
                     variant=self.variant,
                     atoms=len(self._current),
                 )
+            if self._index_pending:
+                # First pool computation after a restore: build the
+                # index now, under this resume's indexing scope.
+                self._install_index(self._current)
             if self._index is not None:
                 active = self._indexed_active_triggers()
             else:

@@ -33,7 +33,12 @@ Two pieces under the store root:
     row per stored object.  Startup no longer stats the directory — the
     catalog is the directory — and eviction is a transaction, so a
     crash can orphan at most blob *files* (cleaned opportunistically),
-    never catalog state.
+    never catalog state.  The catalog runs in WAL mode with
+    ``synchronous=NORMAL`` (sidecar files ``catalog.sqlite-wal`` and
+    ``-shm``): a commit is durable once the process that made it dies,
+    and an OS crash or power loss can drop only the last commits — a
+    lost row is a snapshot miss, paid for with a cold chase, never a
+    wrong answer.  WAL needs a local filesystem.
 
 ``objects/<sha256>.json``
     Content-addressed records.  A ``base`` record carries a full
@@ -79,6 +84,7 @@ import os
 import pathlib
 import sqlite3
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -172,8 +178,7 @@ def facts_manifest(kb: KnowledgeBase) -> list:
 
 def snapshot_key(kb: KnowledgeBase, variant: str, core_every: int = 1) -> str:
     """The store key for chasing *kb* with *variant* / *core_every*."""
-    tag = f"{SNAPSHOT_SCHEMA}|{variant}|{core_every}|{kb_fingerprint(kb)}"
-    return hashlib.sha256(tag.encode()).hexdigest()
+    return _v2_key(variant, core_every, kb_fingerprint(kb))
 
 
 def _v2_key(variant, core_every, kb_fp: str) -> str:
@@ -312,10 +317,15 @@ def state_delta_from_obj(obj: dict) -> ChaseStateDelta:
 # ---------------------------------------------------------------------------
 
 
-#: A ``.tmp`` file older than this (seconds) at store construction is an
-#: orphan from a crashed writer, never a live write in progress, and is
-#: garbage-collected.  Young ``.tmp`` files are left alone — a sibling
-#: worker may be mid-save.
+#: Catalog connections a forked child inherited from its parent: kept
+#: referenced so the child never closes them (see ``_connection``).
+_FORK_INHERITED: list = []
+
+#: A ``.tmp`` file older than this (seconds) is an orphan from a crashed
+#: writer, never a live write in progress, and is garbage-collected (at
+#: store construction, then from ``save`` at most once per period).
+#: Young ``.tmp`` files are left alone — a sibling worker may be
+#: mid-save.
 TMP_ORPHAN_GRACE = 300.0
 
 _CATALOG_NAME = "catalog.sqlite"
@@ -399,19 +409,24 @@ class _ChainBroken(Exception):
 class SnapshotStore:
     """Content-addressed snapshot store: sqlite catalog + record blobs.
 
-    Safe for concurrent use by multiple worker processes: the catalog
-    serializes index updates (each operation is one transaction with a
-    generous busy timeout), record blobs are immutable once written
-    (temp file + :func:`os.replace`), and loads treat anything
-    unreadable as a miss — a broken chain is dropped transactionally
-    and the caller falls back to a cold chase.
+    Safe for concurrent use by multiple worker processes and threads:
+    the catalog serializes index updates (each operation is one
+    transaction with a generous busy timeout), record blobs are
+    immutable once written (temp file + :func:`os.replace`), and loads
+    treat anything unreadable as a miss — a broken chain is dropped
+    transactionally and the caller falls back to a cold chase.  A store
+    is meant to live as long as its process: each thread of each
+    process opens one catalog connection on first use and reuses it
+    (:meth:`close` releases them).
 
     Hygiene (the store must survive crashing writers and run forever):
 
-    * construction garbage-collects orphaned ``.tmp`` files — the
-      droppings of workers killed mid-save — once they are older than
-      *tmp_grace_seconds* — and migrates any schema-1 full-blob
-      snapshots into the catalog;
+    * orphaned ``.tmp`` files — the droppings of workers killed
+      mid-save — are garbage-collected once they are older than
+      *tmp_grace_seconds*: at construction, and from :meth:`save` at
+      most once per *tmp_grace_seconds*;
+    * construction migrates any schema-1 full-blob snapshots into the
+      catalog;
     * *max_entries* / *max_bytes* bound the store; past either bound,
       saves evict the least-recently-used snapshot — recency is the
       catalog's **monotonic access counter**, bumped inside the same
@@ -442,35 +457,77 @@ class SnapshotStore:
         self.max_bytes = max_bytes
         self.max_chain_depth = max(1, int(max_chain_depth))
         self.ancestor_resume = ancestor_resume
+        self.tmp_grace_seconds = tmp_grace_seconds
         #: saves after which a bound could not be met because eviction
         #: never removes the most-recently-written snapshot
         self.eviction_shortfalls = 0
         #: schema-1 files imported (or discarded as corrupt) at startup
         self.migrated = 0
         self._catalog = self.root / _CATALOG_NAME
+        #: each thread's (pid, catalog connection); see _connection
+        self._local = threading.local()
         with self._db() as conn:
+            conn.execute("PRAGMA journal_mode = WAL")
             conn.executescript(_SCHEMA_SQL)
             conn.execute(
                 "INSERT OR IGNORE INTO meta (k, v) VALUES ('tick', 0)"
             )
         self._gc_orphan_tmp_files(tmp_grace_seconds)
+        self._last_tmp_gc = time.monotonic()
         self._migrate_v1()
 
     # -- catalog plumbing ---------------------------------------------
 
+    def _connection(self) -> sqlite3.Connection:
+        """This thread's catalog connection, opened on first use.
+
+        Connections live in a thread-local slot, so a connection closes
+        when its thread ends, and never crosses a process: the slot
+        remembers the pid it was opened in, and a forked child opens
+        its own (keeping the parent's referenced, never closed, since
+        closing it in the child would touch the parent's locks)."""
+        pid = os.getpid()
+        slot = getattr(self._local, "slot", None)
+        if slot is not None:
+            if slot[0] == pid:
+                return slot[1]
+            _FORK_INHERITED.append(slot)
+        conn = sqlite3.connect(
+            self._catalog, timeout=30.0, check_same_thread=False
+        )
+        conn.isolation_level = None  # explicit BEGIN/COMMIT in callers
+        conn.execute("PRAGMA busy_timeout = 30000")
+        conn.execute("PRAGMA synchronous = NORMAL")
+        self._local.slot = (pid, conn)
+        return conn
+
     @contextlib.contextmanager
     def _db(self) -> Iterator[sqlite3.Connection]:
-        """One short-lived autocommit connection per operation — the
-        simplest arrangement that is safe across both threads and the
-        executor's spawned worker processes."""
-        conn = sqlite3.connect(self._catalog, timeout=30.0)
-        conn.isolation_level = None  # explicit BEGIN/COMMIT below
+        """This thread's reused autocommit connection, for one
+        operation.  An exception rolls back any transaction it left
+        open, so the connection stays usable; one that cannot even roll
+        back is dropped and the next operation reconnects."""
+        conn = self._connection()
         try:
-            conn.execute("PRAGMA busy_timeout = 30000")
             yield conn
             conn.commit()
-        finally:
-            conn.close()
+        except BaseException:
+            try:
+                if conn.in_transaction:
+                    conn.rollback()
+            except sqlite3.Error:
+                self._local.slot = None
+                _close_quietly(conn)
+            raise
+
+    def close(self) -> None:
+        """Close this thread's catalog connection and drop every other
+        thread's (each closes once no operation holds it).  The store
+        stays usable: the next operation reconnects."""
+        slot = getattr(self._local, "slot", None)
+        if slot is not None and slot[0] == os.getpid():
+            _close_quietly(slot[1])
+        self._local = threading.local()
 
     @staticmethod
     def _tick(conn: sqlite3.Connection) -> int:
@@ -779,7 +836,12 @@ class SnapshotStore:
         meantime.  Returns the path of the written head record.
         """
         started = time.perf_counter()
-        key = snapshot_key(kb, state.variant, state.core_every)
+        now = time.monotonic()
+        if now - self._last_tmp_gc >= self.tmp_grace_seconds:
+            self._last_tmp_gc = now
+            self._gc_orphan_tmp_files(self.tmp_grace_seconds)
+        kb_fp = kb_fingerprint(kb)
+        key = _v2_key(state.variant, state.core_every, kb_fp)
         state_obj = chase_state_to_obj(state)
         base_blob = _dump_record(
             {"schema": SNAPSHOT_SCHEMA, "kind": "base", "state": state_obj}
@@ -811,7 +873,7 @@ class SnapshotStore:
 
         manifest = facts_manifest(kb)
         row_common = (
-            kb_fingerprint(kb),
+            kb_fp,
             rules_fingerprint(kb),
             state.variant,
             state.core_every,
@@ -895,7 +957,8 @@ class SnapshotStore:
         come back as None; a damaged chain is dropped transactionally
         (``snapshot.chain_broken``) so it is paid for only once."""
         started = time.perf_counter()
-        key = snapshot_key(kb, variant, core_every)
+        kb_fp = kb_fingerprint(kb)
+        key = _v2_key(variant, core_every, kb_fp)
         with self._db() as conn:
             row = conn.execute(
                 "SELECT head, chain_depth, chain_bytes, kb_fingerprint "
@@ -907,7 +970,7 @@ class SnapshotStore:
         if row is not None:
             head, chain_depth, chain_bytes, row_fp = row
             try:
-                if row_fp != kb_fingerprint(kb):
+                if row_fp != kb_fp:
                     raise _ChainBroken("catalog fingerprint mismatch")
                 state = self._load_chain(head)
                 if state.variant != variant or state.core_every != core_every:
@@ -1151,6 +1214,13 @@ class SnapshotStore:
                 seconds=time.perf_counter() - started,
             )
         return None
+
+
+def _close_quietly(conn: sqlite3.Connection) -> None:
+    try:
+        conn.close()
+    except sqlite3.Error:
+        pass
 
 
 def _dump_record(payload: dict) -> bytes:

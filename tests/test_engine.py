@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import elevator_kb, staircase_kb
 from repro.chase import (
     ChaseEngine,
     ChaseVariant,
@@ -11,6 +12,8 @@ from repro.chase import (
     run_chase,
     semi_oblivious_chase,
 )
+from repro.chase.compiled_index import CompiledTriggerIndex
+from repro.chase.trigger_index import TriggerIndex
 from repro.kbs.witnesses import (
     bts_not_fes_kb,
     fes_not_bts_kb,
@@ -18,9 +21,11 @@ from repro.kbs.witnesses import (
     transitive_closure_kb,
     weakly_acyclic_kb,
 )
+from repro.logic import indexing
 from repro.logic.cores import is_core
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atoms, parse_rules
+from repro.obs.observer import Observer, observing
 
 
 class TestTermination:
@@ -284,3 +289,134 @@ class TestResume:
         result = engine.resume(3)
         assert len(result.derivation) == 8  # initial + 7 applications
         result.derivation.validate()
+
+
+class TestRestoreBuildsIndexOnFirstStep:
+    """``restore_state`` builds no trigger index: the first step of the
+    resume does, under that resume's indexing scope, so a resume that
+    takes no step pays nothing for it."""
+
+    @staticmethod
+    def _checkpoint(kb, variant, steps):
+        engine = ChaseEngine(kb, variant=variant)
+        engine.run(max_steps=steps)
+        return engine.export_state()
+
+    @staticmethod
+    def _compile_events(action):
+        events = []
+
+        class Spy(Observer):
+            def compile(self, **kw):
+                events.append(kw)
+
+        with observing(Spy()):
+            action()
+        return events
+
+    def test_restore_alone_builds_nothing(self):
+        kb = staircase_kb()
+        state = self._checkpoint(kb, ChaseVariant.CORE, 6)
+        engine = ChaseEngine(kb, variant=ChaseVariant.CORE)
+        assert self._compile_events(lambda: engine.restore_state(state)) == []
+        assert engine._index is None
+        assert engine.current_instance == state.instance
+
+    @pytest.mark.parametrize(
+        "stop", [None, lambda: True], ids=["zero-budget", "query-hit"]
+    )
+    def test_resume_that_takes_no_step_builds_no_index(self, stop):
+        kb = staircase_kb()
+        state = self._checkpoint(kb, ChaseVariant.CORE, 6)
+        engine = ChaseEngine(kb, variant=ChaseVariant.CORE)
+
+        def restore_and_resume():
+            engine.restore_state(state)
+            budget = 0 if stop is None else 10
+            result = engine.resume(budget, should_stop=stop)
+            assert result.applications == 0
+
+        assert self._compile_events(restore_and_resume) == []
+        assert engine._index is None
+        assert engine.export_state().instance == state.instance
+
+    def test_restored_fixpoint_builds_no_index(self):
+        kb = transitive_closure_kb(4)
+        state = self._checkpoint(kb, ChaseVariant.RESTRICTED, 100)
+        assert state.terminated
+        engine = ChaseEngine(kb)
+        engine.restore_state(state)
+        result = engine.resume(50)
+        assert result.terminated and result.applications == 0
+        assert engine._index is None
+
+    def test_first_step_builds_the_index(self):
+        kb = staircase_kb()
+        state = self._checkpoint(kb, ChaseVariant.CORE, 6)
+        engine = ChaseEngine(kb, variant=ChaseVariant.CORE)
+        engine.restore_state(state)
+        events = self._compile_events(lambda: engine.resume(1))
+        assert len(events) == len(kb.rules)
+        assert isinstance(engine._index, CompiledTriggerIndex)
+
+    @pytest.mark.parametrize(
+        "make_kb, variant, prior, extra",
+        [
+            (staircase_kb, ChaseVariant.CORE, 6, 8),
+            (staircase_kb, ChaseVariant.RESTRICTED, 5, 6),
+            (elevator_kb, ChaseVariant.CORE, 5, 6),
+            (lambda: transitive_closure_kb(5), ChaseVariant.RESTRICTED, 4, 40),
+            (bts_not_fes_kb, ChaseVariant.SEMI_OBLIVIOUS, 3, 5),
+        ],
+        ids=[
+            "staircase-core",
+            "staircase-restricted",
+            "elevator-core",
+            "chain-restricted",
+            "infinite-chain-semi-oblivious",
+        ],
+    )
+    def test_restore_then_steps_equals_straight_run(
+        self, make_kb, variant, prior, extra
+    ):
+        kb = make_kb()
+        self._assert_matches_straight_run(kb, variant, prior, extra)
+
+    def test_no_compiled_only_at_resume_time(self):
+        def resume_without_compiled(engine, extra):
+            with indexing.no_compiled():
+                result = engine.resume(extra)
+                assert type(engine._index) is TriggerIndex
+            return result
+
+        self._assert_matches_straight_run(
+            elevator_kb(), ChaseVariant.CORE, 5, 6, resume=resume_without_compiled
+        )
+
+    def _assert_matches_straight_run(
+        self, kb, variant, prior, extra, resume=None
+    ):
+        straight_engine = ChaseEngine(kb, variant=variant)
+        straight = straight_engine.run(max_steps=prior + extra)
+
+        state = self._checkpoint(kb, variant, prior)
+        engine = ChaseEngine(kb, variant=variant)
+        engine.restore_state(state)
+        if resume is None:
+            result = engine.resume(extra)
+        else:
+            result = resume(engine, extra)
+
+        resumed_steps = [step.instance for step in result.derivation.steps[1:]]
+        straight_steps = [
+            step.instance for step in straight.derivation.steps[prior + 1 :]
+        ]
+        assert resumed_steps == straight_steps
+        assert engine.current_instance == straight.final_instance
+        assert state.applications + result.applications == straight.applications
+        assert result.terminated == straight.terminated
+        resumed_state = engine.export_state()
+        straight_state = straight_engine.export_state()
+        assert resumed_state.ages == straight_state.ages
+        assert resumed_state.applied_keys == straight_state.applied_keys
+        assert resumed_state.fresh_count == straight_state.fresh_count

@@ -6,17 +6,21 @@ coverage therefore runs in the ``workers=0`` in-process mode, with one
 real multi-process test for the fork/spawn-safe metrics protocol.
 """
 
+import json
 import time
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro import staircase_kb
+from repro.kbs.witnesses import manager_kb
 from repro.logic.serialization import dump_kb
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer, observing
 from repro.service.executor import (
     JobExecutor,
     RetryPolicy,
+    _run_job,
     _run_job_local,
     is_transient,
 )
@@ -110,6 +114,59 @@ class TestWorkerBody:
     def test_run_job_local_without_store(self):
         result_obj, metrics = _run_job_local(entail_request().to_obj(), None)
         assert result_obj["ok"] and not result_obj["warm"]
+
+
+class TestStoreLifetime:
+    """Workers keep their snapshot store across jobs instead of opening
+    one per job."""
+
+    def test_in_process_executor_opens_its_store_once(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+        real = executor_module._open_store
+
+        def counting(snapshot_dir, limits):
+            opened.append(snapshot_dir)
+            return real(snapshot_dir, limits)
+
+        monkeypatch.setattr(executor_module, "_open_store", counting)
+        with JobExecutor(0, snapshot_dir=tmp_path) as ex:
+            results = [
+                ex.submit(entail_request()).result(timeout=60) for _ in range(3)
+            ]
+        assert all(result.ok for result in results)
+        assert [result.warm for result in results] == [False, True, True]
+        assert opened == [str(tmp_path)]
+
+    def test_worker_plan_cache_memory_tier_outlives_the_job(self, tmp_path):
+        # Regression: every job used to open a new store, and the plan
+        # cache's in-process tier is keyed by store, so a pool worker's
+        # repeated lookups all fell through to the catalog.
+        request = JobRequest(
+            op="entail",
+            kb_text=dump_kb(manager_kb()),
+            query="mgr(X, Y)",
+            rewrite=True,
+        ).to_obj()
+        trace_dir = tmp_path / "trace"
+        trace_dir.mkdir()
+        try:
+            for _ in range(2):
+                result_obj, _ = _run_job(
+                    request, str(tmp_path / "snapshots"), None, None, str(trace_dir)
+                )
+                assert result_obj["ok"]
+                assert result_obj["method"] == "ucq-rewrite-hit"
+        finally:
+            executor_module._WORKER_STORE.close()
+        events = [
+            json.loads(line)
+            for path in sorted(trace_dir.glob("*.jsonl"))
+            for line in path.read_text().splitlines()
+        ]
+        sources = [e["source"] for e in events if e["kind"] == "query_rewrite"]
+        assert sources == ["computed", "memory"]
 
 
 class TestRetryPolicy:

@@ -5,6 +5,7 @@ import pytest
 from repro import elevator_kb, staircase_kb
 from repro.kbs.witnesses import transitive_closure_kb
 from repro.logic.serialization import dump_kb, load_kb
+from repro.obs.observer import Observer, observing
 from repro.service.deadline import Deadline
 from repro.service.jobs import JobRequest, JobResult, execute_job
 from repro.service.snapshots import SnapshotStore
@@ -222,6 +223,24 @@ class TestWarmStart:
         assert warm.applications == 0
         assert warm.method == "warm-snapshot-hit"
         assert warm.total_applications == cold.total_applications
+
+    def test_warm_hit_builds_no_trigger_index(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        req = JobRequest(
+            op="entail", kb_text=STAIRCASE, query=STAIR_QUERY, max_steps=60
+        )
+        execute_job(req, store)
+        compiles = []
+
+        class Spy(Observer):
+            def compile(self, **kw):
+                compiles.append(kw)
+
+        warm = execute_job(req, store, observer=Spy())
+        with observing(Spy()):
+            again = execute_job(req, store)
+        assert warm.method == again.method == "warm-snapshot-hit"
+        assert compiles == []
 
     def test_warm_chase_extends_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -8,7 +8,10 @@ isomorphic.
 """
 
 import json
+import multiprocessing
 import os
+import sqlite3
+import threading
 import time
 
 import pytest
@@ -292,6 +295,158 @@ class TestStoreHygiene:
         ]
         for kb in kbs:
             assert store.load(kb, "restricted", 1) is not None
+
+
+def _save_in_child(root):
+    """Spawned-process body: save the ``_saved(staircase_kb)`` state."""
+    _saved(SnapshotStore(root), staircase_kb)
+
+
+class TestLongLivedStore:
+    """A store lives as long as its worker: one reused WAL connection
+    per thread, hygiene on the save path, cross-process visibility."""
+
+    def test_catalog_runs_in_wal_mode(self, tmp_path):
+        SnapshotStore(tmp_path)
+        conn = sqlite3.connect(tmp_path / "catalog.sqlite")
+        try:
+            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+        finally:
+            conn.close()
+        assert mode == "wal"
+
+    def test_operations_reuse_one_connection_per_thread(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        with store._db() as first:
+            pass
+        kb, _ = _saved(store, staircase_kb)
+        assert store.load(kb, "restricted", 1) is not None
+        with store._db() as again:
+            assert again is first
+            assert again.execute("PRAGMA synchronous").fetchone()[0] == 1
+
+    def test_close_releases_connections_and_store_reconnects(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        kb, _ = _saved(store, staircase_kb)
+        with store._db() as before:
+            pass
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            before.execute("SELECT 1")
+        assert store.load(kb, "restricted", 1) is not None
+
+    def test_orphan_tmp_collected_by_a_later_save(self, tmp_path):
+        store = SnapshotStore(tmp_path, tmp_grace_seconds=0)
+        orphan = store.objects / ".dead-writer.tmp"
+        orphan.write_text("half a record")
+        _saved(store, staircase_kb)
+        assert not orphan.exists()
+
+    def test_save_sweeps_tmp_at_most_once_per_grace_period(self, tmp_path):
+        store = SnapshotStore(tmp_path)  # construction just swept
+        orphan = store.objects / ".dead-writer.tmp"
+        orphan.write_text("half a record")
+        _backdate(orphan, seconds_ago=3600)
+        _saved(store, staircase_kb)
+        assert orphan.exists()  # next sweep is due a grace period later
+
+    def test_exception_inside_transaction_leaves_connection_usable(
+        self, tmp_path, monkeypatch
+    ):
+        store = SnapshotStore(tmp_path)
+        with store._db() as conn:
+            pass
+
+        def failing_tick(conn):
+            conn.execute("UPDATE meta SET v = v + 100 WHERE k = 'tick'")
+            raise sqlite3.OperationalError("injected mid-transaction")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SnapshotStore, "_tick", staticmethod(failing_tick))
+            with pytest.raises(sqlite3.OperationalError):
+                _saved(store, staircase_kb)
+        with store._db() as again:
+            assert again is conn and not again.in_transaction
+            tick = again.execute(
+                "SELECT v FROM meta WHERE k = 'tick'"
+            ).fetchone()[0]
+        assert tick < 100  # the partial transaction was rolled back
+        assert store.entry_count() == 0
+        # No write lock leaked: this store and a sibling both commit.
+        kb, _ = _saved(store, staircase_kb)
+        other, _ = _saved(SnapshotStore(tmp_path), elevator_kb)
+        assert store.load(kb, "restricted", 1) is not None
+        assert store.load(other, "restricted", 1) is not None
+
+    def test_one_store_used_from_two_threads(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        states = {}
+        for make in (staircase_kb, elevator_kb):
+            kb = make()
+            engine = ChaseEngine(kb, variant="restricted")
+            engine.run(4)
+            states[make.__name__] = (kb, engine.export_state())
+        connections, errors = [], []
+        barrier = threading.Barrier(2)
+
+        def work(kb, state):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(5):
+                    store.save(kb, state)
+                    assert store.load(kb, "restricted", 1) is not None
+                with store._db() as conn:
+                    connections.append(conn)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=pair) for pair in states.values()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert len(connections) == 2
+        assert connections[0] is not connections[1]
+        assert store.entry_count() == 2
+
+    def test_save_in_spawned_process_visible_to_parent(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        kb = staircase_kb()
+        assert store.load(kb, "restricted", 1) is None  # connection open
+        child = multiprocessing.get_context("spawn").Process(
+            target=_save_in_child, args=(str(tmp_path),)
+        )
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 0
+        loaded = store.load(kb, "restricted", 1)
+        assert loaded is not None and loaded.applications == 4
+
+    def test_kb_fingerprinted_once_per_load_and_save(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.snapshots as snapshots
+
+        calls = []
+        real = snapshots.kb_fingerprint
+
+        def counting(kb):
+            calls.append(kb)
+            return real(kb)
+
+        monkeypatch.setattr(snapshots, "kb_fingerprint", counting)
+        store = SnapshotStore(tmp_path)
+        kb = staircase_kb()
+        engine = ChaseEngine(kb, variant="restricted")
+        engine.run(4)
+        store.save(kb, engine.export_state())
+        assert len(calls) == 1
+        calls.clear()
+        assert store.load_entry(kb, "restricted", 1) is not None
+        assert len(calls) == 1
 
 
 FAMILIES = [
