@@ -558,7 +558,6 @@ class ChaseEngine:
             self._applications_since_core = state.applications_since_core
             self.applications_offset = state.applications
             self._index = None
-            self._index_pending = self.use_index
 
     def _make_maintainer(self) -> Optional[CoreMaintainer]:
         # The incremental maintainer needs the per-step delta, which
@@ -573,7 +572,6 @@ class ChaseEngine:
         return None
 
     def _install_index(self, current: AtomSet) -> None:
-        self._index_pending = False
         if self.use_index:
             # The compiled index engages only when the compiled layer is
             # actually on in the ambient configuration (it may be scoped
@@ -636,7 +634,7 @@ class ChaseEngine:
                     variant=self.variant,
                     atoms=len(self._current),
                 )
-            if self._index_pending:
+            if self._index is None and self.use_index:
                 # First pool computation after a restore: build the
                 # index now, under this resume's indexing scope.
                 self._install_index(self._current)

@@ -108,12 +108,24 @@ def _worker_init() -> None:
     _observer_state.set_observer(None)
 
 
-def _open_store(
+def _worker_store(
     snapshot_dir: Optional[str], limits: Optional[dict]
 ) -> Optional[SnapshotStore]:
+    """This process's store for *snapshot_dir* / *limits*.
+
+    The first job that names them opens it and later jobs reuse it, so
+    a job pays neither the store's construction nor a fresh catalog
+    connection, and the plan cache's in-process tier (keyed by store)
+    outlives the job.  A failed open is not cached: the next job
+    retries it."""
     if not snapshot_dir:
         return None
-    limits = limits or {}
+    return _open_store(snapshot_dir, tuple(sorted((limits or {}).items())))
+
+
+@functools.lru_cache(maxsize=8)
+def _open_store(snapshot_dir: str, limits: tuple) -> SnapshotStore:
+    limits = dict(limits)
     kwargs = {}
     if limits.get("max_chain_depth") is not None:
         kwargs["max_chain_depth"] = limits["max_chain_depth"]
@@ -125,49 +137,6 @@ def _open_store(
         max_bytes=limits.get("max_bytes"),
         **kwargs,
     )
-
-
-class _StoreSlot:
-    """The snapshot store a worker keeps across jobs.
-
-    A pool worker holds one for its whole life (:data:`_WORKER_STORE`),
-    an in-process executor one of its own, so a job pays neither the
-    store's construction nor a fresh catalog connection, and the plan
-    cache's in-process tier (keyed by store) outlives the job.  The
-    store is reopened only when a job names another directory or other
-    limits; a failed open is retried by the next job."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._key: Optional[tuple] = None
-        self._store: Optional[SnapshotStore] = None
-
-    def get(
-        self, snapshot_dir: Optional[str], limits: Optional[dict]
-    ) -> Optional[SnapshotStore]:
-        if not snapshot_dir:
-            return None
-        key = (snapshot_dir, tuple(sorted((limits or {}).items())))
-        with self._lock:
-            if self._key != key:
-                self._close_locked()
-                self._store = _open_store(snapshot_dir, limits)
-                self._key = key
-            return self._store
-
-    def close(self) -> None:
-        with self._lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._store is not None:
-            self._store.close()
-        self._store = None
-        self._key = None
-
-
-#: This pool worker's store (one per process; see :class:`_StoreSlot`).
-_WORKER_STORE = _StoreSlot()
 
 
 def _job_observer(registry: MetricsRegistry, trace_dir: Optional[str]):
@@ -216,7 +185,7 @@ def _run_job(
     plan = FaultPlan(fault_dir) if fault_dir else None
     fire_worker_faults(plan, in_process=False)
     request = JobRequest.from_obj(request_obj)
-    store = _WORKER_STORE.get(snapshot_dir, limits)
+    store = _worker_store(snapshot_dir, limits)
     observer, sink = _job_observer(registry, trace_dir)
     context = TraceContext.from_obj(request.trace)
     try:
@@ -236,24 +205,18 @@ def _run_job_local(
     fault_dir: Optional[str] = None,
     limits: Optional[dict] = None,
     trace_dir: Optional[str] = None,
-    store_slot: Optional[_StoreSlot] = None,
 ) -> tuple[dict, dict]:
     """In-process (``workers=0``) body: same contract, private registry.
 
     Unlike the pool-worker body this must NOT touch the process-global
     observer — it shares the process with the server's event loop.  The
     trace context still activates (context variables are per-thread), so
-    events the global observer emits on this thread stay stamped.
-    *store_slot* is the executor's own; without one the job opens a
-    store for itself."""
+    events the global observer emits on this thread stay stamped."""
     registry = MetricsRegistry(enabled=True)
     plan = FaultPlan(fault_dir) if fault_dir else None
     fire_worker_faults(plan, in_process=True)
     request = JobRequest.from_obj(request_obj)
-    if store_slot is not None:
-        store = store_slot.get(snapshot_dir, limits)
-    else:
-        store = _open_store(snapshot_dir, limits)
+    store = _worker_store(snapshot_dir, limits)
     observer, sink = _job_observer(registry, trace_dir)
     context = TraceContext.from_obj(request.trace)
     try:
@@ -367,9 +330,9 @@ class JobExecutor:
         unit tests and the single-shot CLI use).
     snapshot_dir:
         Root of the shared :class:`~repro.service.snapshots.
-        SnapshotStore`; None disables warm starts.  Each pool worker
-        opens the store on its first job and keeps it for life; the
-        in-process mode keeps one per executor.
+        SnapshotStore`; None disables warm starts.  Each worker process
+        (this one, in the in-process mode) opens the store on its first
+        job and keeps it for later jobs.
     registry:
         Where worker metric snapshots are merged; defaults to the
         process-global registry.
@@ -432,13 +395,7 @@ class JobExecutor:
                 "max_chain_depth": max_chain_depth,
                 "ancestor_resume": ancestor_resume,
             }
-        #: the in-process executor's store, opened by its first job
-        self._store_slot = _StoreSlot()
-        self._body = (
-            _run_job
-            if workers > 0
-            else functools.partial(_run_job_local, store_slot=self._store_slot)
-        )
+        self._body = _run_job if workers > 0 else _run_job_local
         self._lock = threading.Lock()
         self._pool = self._make_pool()
         self._pending = 0
@@ -789,8 +746,6 @@ class JobExecutor:
                 job, outer, self._error_result(job, "executor is shut down")
             )
         pool.shutdown(wait=wait)
-        if wait:
-            self._store_slot.close()
 
     def __enter__(self) -> "JobExecutor":
         return self

@@ -317,10 +317,6 @@ def state_delta_from_obj(obj: dict) -> ChaseStateDelta:
 # ---------------------------------------------------------------------------
 
 
-#: Catalog connections a forked child inherited from its parent: kept
-#: referenced so the child never closes them (see ``_connection``).
-_FORK_INHERITED: list = []
-
 #: A ``.tmp`` file older than this (seconds) is an orphan from a crashed
 #: writer, never a live write in progress, and is garbage-collected (at
 #: store construction, then from ``save`` at most once per period).
@@ -415,9 +411,8 @@ class SnapshotStore:
     immutable once written (temp file + :func:`os.replace`), and loads
     treat anything unreadable as a miss — a broken chain is dropped
     transactionally and the caller falls back to a cold chase.  A store
-    is meant to live as long as its process: each thread of each
-    process opens one catalog connection on first use and reuses it
-    (:meth:`close` releases them).
+    is meant to live as long as its process: each thread opens one
+    catalog connection on first use and reuses it.
 
     Hygiene (the store must survive crashing writers and run forever):
 
@@ -464,7 +459,7 @@ class SnapshotStore:
         #: schema-1 files imported (or discarded as corrupt) at startup
         self.migrated = 0
         self._catalog = self.root / _CATALOG_NAME
-        #: each thread's (pid, catalog connection); see _connection
+        #: each thread's catalog connection; see _connection
         self._local = threading.local()
         with self._db() as conn:
             conn.execute("PRAGMA journal_mode = WAL")
@@ -479,26 +474,16 @@ class SnapshotStore:
     # -- catalog plumbing ---------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
-        """This thread's catalog connection, opened on first use.
-
-        Connections live in a thread-local slot, so a connection closes
-        when its thread ends, and never crosses a process: the slot
-        remembers the pid it was opened in, and a forked child opens
-        its own (keeping the parent's referenced, never closed, since
-        closing it in the child would touch the parent's locks)."""
-        pid = os.getpid()
-        slot = getattr(self._local, "slot", None)
-        if slot is not None:
-            if slot[0] == pid:
-                return slot[1]
-            _FORK_INHERITED.append(slot)
-        conn = sqlite3.connect(
-            self._catalog, timeout=30.0, check_same_thread=False
-        )
-        conn.isolation_level = None  # explicit BEGIN/COMMIT in callers
-        conn.execute("PRAGMA busy_timeout = 30000")
-        conn.execute("PRAGMA synchronous = NORMAL")
-        self._local.slot = (pid, conn)
+        """This thread's catalog connection, opened on first use (it
+        lives in a thread-local slot, so it closes when its thread
+        ends)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = sqlite3.connect(self._catalog, timeout=30.0)
+            conn.isolation_level = None  # explicit BEGIN/COMMIT in callers
+            conn.execute("PRAGMA busy_timeout = 30000")
+            conn.execute("PRAGMA synchronous = NORMAL")
+            self._local.conn = conn
         return conn
 
     @contextlib.contextmanager
@@ -516,18 +501,10 @@ class SnapshotStore:
                 if conn.in_transaction:
                     conn.rollback()
             except sqlite3.Error:
-                self._local.slot = None
-                _close_quietly(conn)
+                self._local.conn = None
+                with contextlib.suppress(sqlite3.Error):
+                    conn.close()
             raise
-
-    def close(self) -> None:
-        """Close this thread's catalog connection and drop every other
-        thread's (each closes once no operation holds it).  The store
-        stays usable: the next operation reconnects."""
-        slot = getattr(self._local, "slot", None)
-        if slot is not None and slot[0] == os.getpid():
-            _close_quietly(slot[1])
-        self._local = threading.local()
 
     @staticmethod
     def _tick(conn: sqlite3.Connection) -> int:
@@ -1214,13 +1191,6 @@ class SnapshotStore:
                 seconds=time.perf_counter() - started,
             )
         return None
-
-
-def _close_quietly(conn: sqlite3.Connection) -> None:
-    try:
-        conn.close()
-    except sqlite3.Error:
-        pass
 
 
 def _dump_record(payload: dict) -> bytes:

@@ -20,7 +20,6 @@ from repro.obs.observer import Observer, observing
 from repro.service.executor import (
     JobExecutor,
     RetryPolicy,
-    _run_job,
     _run_job_local,
     is_transient,
 )
@@ -124,13 +123,13 @@ class TestStoreLifetime:
         self, tmp_path, monkeypatch
     ):
         opened = []
-        real = executor_module._open_store
 
-        def counting(snapshot_dir, limits):
-            opened.append(snapshot_dir)
-            return real(snapshot_dir, limits)
+        class CountingStore(executor_module.SnapshotStore):
+            def __init__(self, root, **kwargs):
+                opened.append(str(root))
+                super().__init__(root, **kwargs)
 
-        monkeypatch.setattr(executor_module, "_open_store", counting)
+        monkeypatch.setattr(executor_module, "SnapshotStore", CountingStore)
         with JobExecutor(0, snapshot_dir=tmp_path) as ex:
             results = [
                 ex.submit(entail_request()).result(timeout=60) for _ in range(3)
@@ -148,21 +147,17 @@ class TestStoreLifetime:
             kb_text=dump_kb(manager_kb()),
             query="mgr(X, Y)",
             rewrite=True,
-        ).to_obj()
+        )
         trace_dir = tmp_path / "trace"
-        trace_dir.mkdir()
-        try:
+        with JobExecutor(
+            1, snapshot_dir=tmp_path / "snapshots", trace_dir=trace_dir
+        ) as ex:
             for _ in range(2):
-                result_obj, _ = _run_job(
-                    request, str(tmp_path / "snapshots"), None, None, str(trace_dir)
-                )
-                assert result_obj["ok"]
-                assert result_obj["method"] == "ucq-rewrite-hit"
-        finally:
-            executor_module._WORKER_STORE.close()
+                result = ex.submit(request).result(timeout=120)
+                assert result.ok and result.method == "ucq-rewrite-hit"
         events = [
             json.loads(line)
-            for path in sorted(trace_dir.glob("*.jsonl"))
+            for path in sorted(trace_dir.glob("worker-*.jsonl"))
             for line in path.read_text().splitlines()
         ]
         sources = [e["source"] for e in events if e["kind"] == "query_rewrite"]

@@ -325,16 +325,6 @@ class TestLongLivedStore:
             assert again is first
             assert again.execute("PRAGMA synchronous").fetchone()[0] == 1
 
-    def test_close_releases_connections_and_store_reconnects(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        kb, _ = _saved(store, staircase_kb)
-        with store._db() as before:
-            pass
-        store.close()
-        with pytest.raises(sqlite3.ProgrammingError):
-            before.execute("SELECT 1")
-        assert store.load(kb, "restricted", 1) is not None
-
     def test_orphan_tmp_collected_by_a_later_save(self, tmp_path):
         store = SnapshotStore(tmp_path, tmp_grace_seconds=0)
         orphan = store.objects / ".dead-writer.tmp"
