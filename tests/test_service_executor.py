@@ -2,8 +2,9 @@
 
 The process-pool paths (workers > 0) use the ``spawn`` start method, so
 each test that exercises them pays interpreter startup; the bulk of the
-coverage therefore runs in the ``workers=0`` in-process mode, with one
-real multi-process test for the fork/spawn-safe metrics protocol.
+coverage therefore runs in the ``workers=0`` in-process mode, with
+real multi-process tests for the fork/spawn-safe metrics protocol and
+for the store a pool worker keeps across jobs.
 """
 
 import json
