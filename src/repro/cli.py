@@ -70,7 +70,6 @@ from typing import Optional, Sequence
 from .analysis import analyze_ruleset
 from .chase.engine import ChaseVariant, run_chase
 from .logic import indexing
-from .logic.homcache import get_cache
 from .logic.serialization import load_instance, load_kb_file
 from .obs import (
     JsonlTracer,
@@ -128,9 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-index",
         action="store_true",
         help="run the naive engine: no incremental trigger index, no "
-        "positional atom index, no homomorphism memo, no incremental "
-        "core maintenance (the reference path differential tests "
-        "compare against)",
+        "positional atom index, no incremental core maintenance (the "
+        "reference path differential tests compare against)",
     )
     chase.add_argument(
         "--no-compiled",
@@ -963,10 +961,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # Each invocation starts with a cold homomorphism memo, so CLI runs
-    # report the same telemetry whether main() is called from a fresh
-    # process or repeatedly in one (as the test-suite does).
-    get_cache().clear()
     handlers = {
         "chase": _cmd_chase,
         "entail": _cmd_entail,

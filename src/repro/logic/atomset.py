@@ -17,11 +17,6 @@ Three incremental indexes are maintained:
   decided, only target atoms carrying that image *at that position* can
   match, a strictly tighter pool than the term index gives.
 
-On top of the indexes a *fingerprint* — an order-independent combination
-of the atom hashes, maintained in O(1) per mutation — summarizes the
-current contents; it keys the homomorphism memo cache
-(:mod:`repro.logic.homcache`).
-
 Instances compare equal iff they contain the same atoms, regardless of
 insertion order.
 """
@@ -53,22 +48,15 @@ class AtomSet:
         "_by_predicate",
         "_by_term",
         "_by_position",
-        "_fp_xor",
-        "_fp_sum",
         "_compiled",
         "_sorted",
     )
-
-    #: Mask keeping the incremental fingerprint sum in one machine word.
-    _FP_MASK = (1 << 64) - 1
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: set[Atom] = set()
         self._by_predicate: dict[Predicate, set[Atom]] = {}
         self._by_term: dict[Term, set[Atom]] = {}
         self._by_position: dict[tuple[Predicate, int, Term], set[Atom]] = {}
-        self._fp_xor: int = 0
-        self._fp_sum: int = 0
         #: Lazily attached compiled view (repro.logic.compiled.relations);
         #: None until a compiled search first touches this atomset.
         self._compiled = None
@@ -95,9 +83,6 @@ class AtomSet:
             self._by_position.setdefault(
                 (at.predicate, position, term), set()
             ).add(at)
-        h = at._hash
-        self._fp_xor ^= h
-        self._fp_sum = (self._fp_sum + h) & AtomSet._FP_MASK
         if self._compiled is not None:
             self._compiled.add(at)
         self._sorted = None
@@ -131,9 +116,6 @@ class AtomSet:
             bucket.remove(at)
             if not bucket:
                 del self._by_position[key]
-        h = at._hash
-        self._fp_xor ^= h
-        self._fp_sum = (self._fp_sum - h) & AtomSet._FP_MASK
         if self._compiled is not None:
             self._compiled.discard(at)
         self._sorted = None
@@ -237,18 +219,6 @@ class AtomSet:
             self._by_position.get((predicate, position, term), frozenset())
         )
 
-    def fingerprint(self) -> tuple[int, int, int]:
-        """An order-independent summary of the current contents.
-
-        Equal atomsets always share the fingerprint (it is a function of
-        the set of atom hashes); distinct atomsets collide only if their
-        atom-hash multisets agree under both XOR and 64-bit sum, which is
-        what makes the fingerprint usable as a memo-cache key
-        (:mod:`repro.logic.homcache`).  Maintained incrementally, so
-        reading it costs O(1).
-        """
-        return (len(self._atoms), self._fp_xor, self._fp_sum)
-
     _EMPTY: frozenset = frozenset()
 
     def _containing_raw(self, term: Term) -> set[Atom]:
@@ -298,8 +268,6 @@ class AtomSet:
         new._by_position = {
             key: set(bucket) for key, bucket in self._by_position.items()
         }
-        new._fp_xor = self._fp_xor
-        new._fp_sum = self._fp_sum
         new._compiled = (
             self._compiled.clone() if self._compiled is not None else None
         )

@@ -92,7 +92,6 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from ..obs import observer as _observer_state
-from . import homcache as _homcache
 from . import indexing as _indexing
 from .atoms import Atom
 from .atomset import AtomSet
@@ -110,6 +109,9 @@ __all__ = ["CoreMaintainer", "PAIR_ENUM_CAP"]
 #: step and falls back to exact per-variable search.
 PAIR_ENUM_CAP = 64
 
+#: Mask keeping a neighborhood fingerprint's sum in one machine word.
+_FP_MASK = (1 << 64) - 1
+
 
 def _neighborhood_fingerprint(atoms: AtomSet, var: Variable) -> tuple:
     """Order-independent digest of ``{a ∈ atoms : var ∈ a}`` — the
@@ -121,7 +123,7 @@ def _neighborhood_fingerprint(atoms: AtomSet, var: Variable) -> tuple:
         h = at._hash
         count += 1
         fp_xor ^= h
-        fp_sum = (fp_sum + h) & AtomSet._FP_MASK
+        fp_sum = (fp_sum + h) & _FP_MASK
     return (count, fp_xor, fp_sum)
 
 
@@ -310,10 +312,7 @@ class CoreMaintainer:
         def fold(shrink: Substitution) -> None:
             nonlocal current, total, clean_ok
             total = shrink.compose(total)
-            shrunk = shrink.apply(current)
-            if current is not pre_instance and _indexing.hom_memo_enabled():
-                _homcache.get_cache().invalidate(current.fingerprint())
-            current = shrunk
+            current = shrink.apply(current)
             stats["folds"] += 1
             if clean_ok and not all(
                 shrink.apply_term(v) == v for v in clean_vars

@@ -40,8 +40,6 @@ import time
 from typing import Optional
 
 from ..obs import observer as _observer_state
-from . import homcache as _homcache
-from . import indexing as _indexing
 from .atomset import AtomSet
 from .homomorphism import find_homomorphism
 from .substitution import Substitution
@@ -127,12 +125,7 @@ def _fold_pass(
         if _stats is not None:
             _stats["folds"] += 1
         total = shrink.compose(total)
-        shrunk = shrink.apply(current)
-        # The intermediate retract is replaced for good; drop its memo
-        # entries (the caller's input stays cached — it is still live).
-        if current is not atoms and _indexing.hom_memo_enabled():
-            _homcache.get_cache().invalidate(current.fingerprint())
-        current = shrunk
+        current = shrink.apply(current)
     return total, current
 
 

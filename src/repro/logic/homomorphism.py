@@ -17,11 +17,7 @@ practical by:
 * a selectivity-driven atom order (most-constrained atom first, i.e.
   smallest current candidate pool), which keeps the partial assignment
   propagating instead of guessing;
-* cheap pre-checks (every source predicate must occur in the target);
-* a fingerprint-keyed memo of single-witness searches
-  (:mod:`repro.logic.homcache`), so deterministic re-runs — the
-  entailment race, repeated certain-answer chases — pay for each
-  distinct check once.
+* cheap pre-checks (every source predicate must occur in the target).
 
 Three extra knobs cover every use in the library:
 
@@ -43,7 +39,6 @@ import time
 from typing import Iterable, Iterator, Optional, Union
 
 from ..obs import observer as _observer_state
-from . import homcache as _homcache
 from . import indexing as _indexing
 from .atoms import Atom
 from .compiled import plans as _plans
@@ -273,59 +268,22 @@ def find_homomorphism(
     """Return one homomorphism from *source* to *target*, or None.
 
     The search is deterministic, so repeated calls return the same
-    witness — the chase engine depends on this for reproducible runs,
-    and the memo cache depends on it for transparency: a cached answer
-    is bit-identical to what the search would have recomputed.
+    witness — the chase engine depends on this for reproducible runs.
     """
-    cache = key = None
-    if (
-        isinstance(source, AtomSet)
-        and isinstance(target, AtomSet)
-        and _indexing.hom_memo_enabled()
-    ):
-        cache = _homcache.get_cache()
-        key = (
-            source.fingerprint(),
-            target.fingerprint(),
-            partial,
-            frozenset(forbidden_images),
-            injective,
-        )
-        hit, value = cache.lookup(key)
-        observer = _observer_state.current
-        if observer is not None:
-            observer.hom_memo_lookup(hit=hit, entries=len(cache))
-        if hit:
-            return value
-
     observer = _observer_state.current
     if observer is None:
-        found = None
-        for hom in homomorphisms(
-            source,
-            target,
-            partial=partial,
-            forbidden_images=forbidden_images,
-            injective=injective,
-        ):
-            found = hom
-            break
-        if cache is not None:
-            cache.store(key, found)
-        return found
+        return next(
+            homomorphisms(source, target, partial, forbidden_images, injective),
+            None,
+        )
     stats: dict = {}
     started = time.perf_counter()
-    found: Optional[Substitution] = None
-    for hom in homomorphisms(
-        source,
-        target,
-        partial=partial,
-        forbidden_images=forbidden_images,
-        injective=injective,
-        _stats=stats,
-    ):
-        found = hom
-        break
+    found = next(
+        homomorphisms(
+            source, target, partial, forbidden_images, injective, _stats=stats
+        ),
+        None,
+    )
     observer.homomorphism_search(
         found=found is not None,
         backtracks=stats.get("backtracks", 0),
@@ -333,8 +291,6 @@ def find_homomorphism(
         target_atoms=stats.get("target_atoms", 0),
         seconds=time.perf_counter() - started,
     )
-    if cache is not None:
-        cache.store(key, found)
     return found
 
 

@@ -4,8 +4,6 @@ Four accelerations sit under the chase (ISSUEs 2 and 3):
 
 * the positional atom index consulted by the homomorphism search for
   candidate selection (:mod:`repro.logic.homomorphism`);
-* the memoization of single-witness homomorphism checks
-  (:mod:`repro.logic.homcache`);
 * the incremental trigger index of the chase engine
   (:mod:`repro.chase.trigger_index` — controlled by the engine's own
   ``use_index`` flag, which also scopes the switches here);
@@ -36,11 +34,9 @@ from typing import Iterator, Optional
 
 __all__ = [
     "atom_index_enabled",
-    "hom_memo_enabled",
     "core_maintenance_enabled",
     "compiled_enabled",
     "set_atom_index",
-    "set_hom_memo",
     "set_core_maintenance",
     "set_compiled",
     "configured",
@@ -50,9 +46,6 @@ __all__ = [
 
 #: Positional-index candidate selection in ``homomorphisms()``.
 _atom_index: bool = True
-
-#: Fingerprint-keyed memoization in ``find_homomorphism()``.
-_hom_memo: bool = True
 
 #: Incremental core maintenance in core-variant chase runs.
 _core_maint: bool = True
@@ -67,24 +60,11 @@ def atom_index_enabled() -> bool:
     return _atom_index
 
 
-def hom_memo_enabled() -> bool:
-    """True iff single-witness searches may consult the memo cache."""
-    return _hom_memo
-
-
 def set_atom_index(enabled: bool) -> bool:
     """Set the positional-index switch; returns the previous value."""
     global _atom_index
     previous = _atom_index
     _atom_index = bool(enabled)
-    return previous
-
-
-def set_hom_memo(enabled: bool) -> bool:
-    """Set the memoization switch; returns the previous value."""
-    global _hom_memo
-    previous = _hom_memo
-    _hom_memo = bool(enabled)
     return previous
 
 
@@ -124,13 +104,11 @@ def set_compiled(enabled: bool) -> bool:
 @contextmanager
 def configured(
     atom_index: Optional[bool] = None,
-    hom_memo: Optional[bool] = None,
     core_maint: Optional[bool] = None,
     compiled: Optional[bool] = None,
 ) -> Iterator[None]:
     """Temporarily override the switches (None leaves one untouched)."""
     previous_index = set_atom_index(atom_index) if atom_index is not None else None
-    previous_memo = set_hom_memo(hom_memo) if hom_memo is not None else None
     previous_maint = (
         set_core_maintenance(core_maint) if core_maint is not None else None
     )
@@ -140,8 +118,6 @@ def configured(
     finally:
         if previous_index is not None:
             set_atom_index(previous_index)
-        if previous_memo is not None:
-            set_hom_memo(previous_memo)
         if previous_maint is not None:
             set_core_maintenance(previous_maint)
         if previous_compiled is not None:
@@ -152,9 +128,7 @@ def configured(
 def no_index() -> Iterator[None]:
     """Scope in which every layer runs the naive (pre-index) path —
     the compiled kernel included, since it compiles the indexed pools."""
-    with configured(
-        atom_index=False, hom_memo=False, core_maint=False, compiled=False
-    ):
+    with configured(atom_index=False, core_maint=False, compiled=False):
         yield
 
 

@@ -125,9 +125,8 @@ class Substitution:
         return not result
 
     def __hash__(self) -> int:
-        # Cached: substitutions key the homomorphism memo and the escape
-        # scan's pin dedup, where the same (immutable) object is hashed
-        # over and over.
+        # Cached: substitutions key the escape scan's pin dedup, where
+        # the same (immutable) object is hashed over and over.
         h = self._hash
         if h is None:
             h = hash(frozenset(self._map.items()))

@@ -138,10 +138,6 @@ class Observer:
         """One single-witness search finished; *backtracks* counts undo
         operations of tentative atom matches (the search effort)."""
 
-    def hom_memo_lookup(self, *, hit: bool, entries: int) -> None:
-        """One memo-cache consultation by a single-witness search
-        (:mod:`repro.logic.homcache`); *entries* is the cache size."""
-
     # -- trigger index (repro.chase.trigger_index) ---------------------
 
     def trigger_index_update(
@@ -380,10 +376,6 @@ class CompositeObserver(Observer):
     def homomorphism_search(self, **kw) -> None:
         for obs in self.observers:
             obs.homomorphism_search(**kw)
-
-    def hom_memo_lookup(self, **kw) -> None:
-        for obs in self.observers:
-            obs.hom_memo_lookup(**kw)
 
     def trigger_index_update(self, **kw) -> None:
         for obs in self.observers:

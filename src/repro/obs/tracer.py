@@ -56,7 +56,6 @@ EVENT_KINDS = (
     "core_retraction",
     "core_maintenance",
     "homomorphism_search",
-    "hom_memo_lookup",
     "trigger_index_update",
     "compile",
     "join_plan",
@@ -151,8 +150,6 @@ class MetricsObserver(Observer):
     ``hom.backtracks``      counter    total undo operations
     ``hom.backtracks_per_search``  histogram  per-search backtracks
     ``hom.time``            timer      time in the search
-    ``hom.memo_hits``       counter    memo-cache hits
-    ``hom.memo_misses``     counter    memo-cache misses
     ``index.delta_atoms``   counter    atoms absorbed by the trigger index
     ``index.triggers_new``  counter    triggers found by delta re-matching
     ``index.triggers_reused``  counter  triggers carried over unchanged
@@ -273,14 +270,6 @@ class MetricsObserver(Observer):
         reg.counter("hom.backtracks").inc(backtracks)
         reg.histogram("hom.backtracks_per_search").observe(backtracks)
         reg.timer("hom.time").record(seconds)
-
-    def hom_memo_lookup(self, *, hit, entries) -> None:
-        reg = self.registry
-        if hit:
-            reg.counter("hom.memo_hits").inc()
-        else:
-            reg.counter("hom.memo_misses").inc()
-        reg.gauge("hom.memo_entries").set(entries)
 
     def trigger_index_update(
         self,
@@ -486,10 +475,6 @@ class TracingObserver(MetricsObserver):
     def homomorphism_search(self, **kw) -> None:
         self.tracer.emit("homomorphism_search", **kw)
         super().homomorphism_search(**kw)
-
-    def hom_memo_lookup(self, **kw) -> None:
-        self.tracer.emit("hom_memo_lookup", **kw)
-        super().hom_memo_lookup(**kw)
 
     def trigger_index_update(self, **kw) -> None:
         self.tracer.emit("trigger_index_update", **kw)

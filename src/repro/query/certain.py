@@ -17,12 +17,8 @@ Two evaluation routes are provided:
   decide each instantiated Boolean query with the Theorem-1 race.
 
 The races of :func:`certain_answers` re-chase the *same* KB once per
-candidate; their homomorphism tests (trigger satisfaction inside the
-chase, the query probes against the aggregation) all route through
-:func:`repro.logic.homomorphism.find_homomorphism` and therefore hit the
-process-global fingerprint-keyed memo (:mod:`repro.logic.homcache`)
-after the first candidate — the later races pay only for the searches
-whose inputs genuinely differ (the instantiated query atoms).
+candidate and share nothing: each pays for its own chase prefix and
+query probes.
 """
 
 from __future__ import annotations

@@ -109,10 +109,7 @@ def chase_entails_prefix(
         added = aggregation.update(step.instance)
         if added == 0 and step.index > 0:
             # The aggregation is unchanged, so the previous (negative)
-            # query test still stands — and even when a later step does
-            # grow it back to a previously tested value, the
-            # homomorphism memo (repro.logic.homcache) answers the
-            # repeat test from its fingerprint-keyed cache.
+            # query test still stands.
             return
         if query.holds_in(aggregation):
             hit[0] = True

@@ -306,6 +306,7 @@ class _Job:
         "pool",
         "context",
         "attempt_context",
+        "attempt_started",
         "owns_span",
     )
 
@@ -316,6 +317,7 @@ class _Job:
         self.pool = None  # the pool the live attempt went to
         self.context: Optional[TraceContext] = None  # the job span
         self.attempt_context: Optional[TraceContext] = None  # live attempt
+        self.attempt_started = 0.0  # when the live attempt span opened
         self.owns_span = False  # we minted (and must close) the job span
 
 
@@ -404,7 +406,7 @@ class JobExecutor:
         self.pool_rebuilds = 0
         #: backoff timers for jobs awaiting re-submission
         self._retry_timers: dict[
-            threading.Timer, tuple[_Job, Future, Optional[TraceContext]]
+            threading.Timer, tuple[_Job, Future, Optional[TraceContext], float]
         ] = {}
 
     def _make_pool(self):
@@ -465,7 +467,7 @@ class JobExecutor:
                 **job.attempt_context.to_obj(),
                 "submitted_ts": round(time.time(), 6),
             }
-            self._span_open(
+            job.attempt_started = self._span_open(
                 job.attempt_context,
                 "job_attempt",
                 op=job.request.op,
@@ -492,18 +494,31 @@ class JobExecutor:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _span_open(context, name: str, **attrs) -> None:
+    def _span_open(context, name: str, **attrs) -> float:
         """Guarded :func:`~repro.obs.spans.open_span` against the current
-        observer — a raising observer must not break supervision."""
+        observer — a raising observer must not break supervision.
+        Returns the open time, which the matching :meth:`_span_close`
+        measures the span's ``seconds`` from."""
+        started = time.perf_counter()
         try:
             open_span(_observer_state.current, context, name, **attrs)
         except Exception:  # noqa: BLE001 - observers must not break supervision
             pass
+        return started
 
     @staticmethod
-    def _span_close(context, name: str, status: str = "ok", **attrs) -> None:
+    def _span_close(
+        context, name: str, started: float, status: str = "ok", **attrs
+    ) -> None:
         try:
-            close_span(_observer_state.current, context, name, status=status, **attrs)
+            close_span(
+                _observer_state.current,
+                context,
+                name,
+                status=status,
+                seconds=round(time.perf_counter() - started, 6),
+                **attrs,
+            )
         except Exception:  # noqa: BLE001 - observers must not break supervision
             pass
 
@@ -518,7 +533,9 @@ class JobExecutor:
         attrs: dict = {"attempt": job.attempt}
         if error is not None:
             attrs["error"] = error
-        self._span_close(context, "job_attempt", status=status, **attrs)
+        self._span_close(
+            context, "job_attempt", job.attempt_started, status=status, **attrs
+        )
 
     def _finish(self, done: Future, job: _Job, outer: "Future[JobResult]") -> None:
         """Inner-future callback.  Every path resolves or re-submits;
@@ -569,7 +586,7 @@ class JobExecutor:
             # waiting, not dead air; the service_retry event is emitted
             # under it so both carry the job's trace_id.
             backoff_context = job.context.child() if job.context is not None else None
-            self._span_open(
+            backoff_started = self._span_open(
                 backoff_context,
                 "retry_backoff",
                 attempt=attempt,
@@ -598,9 +615,16 @@ class JobExecutor:
                 if closed_during_backoff:
                     timer.cancel()
                 else:
-                    self._retry_timers[timer] = (job, outer, backoff_context)
+                    self._retry_timers[timer] = (
+                        job, outer, backoff_context, backoff_started
+                    )
             if closed_during_backoff:
-                self._span_close(backoff_context, "retry_backoff", status="aborted")
+                self._span_close(
+                    backoff_context,
+                    "retry_backoff",
+                    backoff_started,
+                    status="aborted",
+                )
                 self._resolve(
                     job,
                     outer,
@@ -621,8 +645,8 @@ class JobExecutor:
             entry = self._retry_timers.pop(timer, None)
         if entry is None:
             return  # shutdown already resolved this job
-        job, outer, backoff_context = entry
-        self._span_close(backoff_context, "retry_backoff", status="ok")
+        job, outer, backoff_context, backoff_started = entry
+        self._span_close(backoff_context, "retry_backoff", backoff_started)
         self._submit_attempt(job, outer)
 
     def _rebuild_pool(self, broken_pool, context: Optional[TraceContext] = None) -> None:
@@ -639,7 +663,7 @@ class JobExecutor:
             pending = self._pending
         self.registry.counter("service.pool_rebuilds").inc()
         rebuild_context = context.child() if context is not None else None
-        self._span_open(rebuild_context, "pool_rebuild", pending=pending)
+        started = self._span_open(rebuild_context, "pool_rebuild", pending=pending)
         observer = _observer_state.current
         if observer is not None:
             try:
@@ -647,7 +671,7 @@ class JobExecutor:
                     observer.service_pool_rebuild(pending=pending)
             except Exception:  # noqa: BLE001 - observers must not break supervision
                 pass
-        self._span_close(rebuild_context, "pool_rebuild")
+        self._span_close(rebuild_context, "pool_rebuild", started)
         if broken_pool is not None:
             broken_pool.shutdown(wait=False)
 
@@ -692,8 +716,8 @@ class JobExecutor:
             self._span_close(
                 job.context,
                 "service_job",
+                job.submitted,
                 status="ok" if result.ok else "error",
-                seconds=round(result.seconds, 6),
                 ok=result.ok,
                 warm=result.warm,
             )
@@ -739,9 +763,11 @@ class JobExecutor:
             parked = list(self._retry_timers.items())
             self._retry_timers.clear()
             pool = self._pool
-        for timer, (job, outer, backoff_context) in parked:
+        for timer, (job, outer, backoff_context, backoff_started) in parked:
             timer.cancel()
-            self._span_close(backoff_context, "retry_backoff", status="aborted")
+            self._span_close(
+                backoff_context, "retry_backoff", backoff_started, status="aborted"
+            )
             self._resolve(
                 job, outer, self._error_result(job, "executor is shut down")
             )

@@ -278,7 +278,9 @@ def _plan_cache_for(store: Optional[SnapshotStore]) -> QueryPlanCache:
         return default_plan_cache()
     cache = _PLAN_CACHES.get(store)
     if cache is None:
-        cache = QueryPlanCache(store=store)
+        # The value must not reference its weak key, or the store (and
+        # its catalog connection) could never be collected.
+        cache = QueryPlanCache(store=weakref.proxy(store))
         _PLAN_CACHES[store] = cache
     return cache
 

@@ -34,7 +34,6 @@ from repro.logic.atoms import Atom
 from repro.logic.atomset import AtomSet
 from repro.logic.compiled import compiled_homomorphisms, compiled_view
 from repro.logic.compiled.interner import reset_symbol_table, symbol_table
-from repro.logic.homcache import get_cache
 from repro.logic.homomorphism import homomorphisms
 from repro.logic.parser import parse_atoms
 from repro.logic.substitution import Substitution
@@ -234,7 +233,6 @@ class TestCompiledTriggerIndex:
         freshly grown fragments every step (CoreMaintainer retractions
         mid-chase), and the semi-naive pool must still equal a
         from-scratch rescan of the final instance."""
-        get_cache().clear()
         engine = ChaseEngine(staircase_kb(), variant=ChaseVariant.CORE)
         result = engine.run(max_steps=12)
         assert result.retractions > 0, "workload must exercise retractions"
@@ -247,11 +245,9 @@ class TestCompiledTriggerIndex:
         assert set(engine._index._live.keys()) == rescanned
 
     def test_core_run_equals_indexed_oracle_after_retractions(self):
-        get_cache().clear()
         compiled = run_chase(
             elevator_kb(), variant=ChaseVariant.CORE, max_steps=10
         )
-        get_cache().clear()
         indexed = run_chase(
             elevator_kb(),
             variant=ChaseVariant.CORE,
@@ -263,21 +259,18 @@ class TestCompiledTriggerIndex:
         assert compiled.final_instance == indexed.final_instance
 
     def test_default_engine_installs_compiled_index(self):
-        get_cache().clear()
         engine = ChaseEngine(elevator_kb(), variant=ChaseVariant.RESTRICTED)
         engine.run(max_steps=2)
         assert isinstance(engine._index, CompiledTriggerIndex)
 
     def test_no_compiled_scope_falls_back_to_object_index(self):
         kb = elevator_kb()
-        get_cache().clear()
         with indexing.no_compiled():
             engine = ChaseEngine(kb, variant=ChaseVariant.RESTRICTED)
             engine.run(max_steps=4)
             assert type(engine._index) is TriggerIndex
 
     def test_use_compiled_false_falls_back_to_object_index(self):
-        get_cache().clear()
         engine = ChaseEngine(
             elevator_kb(), variant=ChaseVariant.RESTRICTED, use_compiled=False
         )
@@ -285,7 +278,6 @@ class TestCompiledTriggerIndex:
         assert type(engine._index) is TriggerIndex
 
     def test_no_index_disables_both_layers(self):
-        get_cache().clear()
         engine = ChaseEngine(
             elevator_kb(), variant=ChaseVariant.RESTRICTED, use_index=False
         )
@@ -297,7 +289,6 @@ class TestCompiledTriggerIndex:
         compiled layer is scoped off must take the object path — same
         pool either way."""
         kb = elevator_kb()
-        get_cache().clear()
         engine = ChaseEngine(kb, variant=ChaseVariant.RESTRICTED)
         engine.run(max_steps=2)
         assert isinstance(engine._index, CompiledTriggerIndex)
@@ -323,10 +314,8 @@ class TestSnapshotRoundTrip:
         instances as an uninterrupted compiled run — the interner is
         process-local state the snapshot format must not depend on."""
         kb = staircase_kb()
-        get_cache().clear()
         straight = run_chase(kb, variant=ChaseVariant.CORE, max_steps=10)
 
-        get_cache().clear()
         engine = ChaseEngine(kb, variant=ChaseVariant.CORE)
         engine.run(max_steps=6)
         store = SnapshotStore(tmp_path)
@@ -334,7 +323,6 @@ class TestSnapshotRoundTrip:
 
         # A fresh process: new interner codes, nothing shared.
         reset_symbol_table()
-        get_cache().clear()
         state = store.load(kb, ChaseVariant.CORE)
         assert state is not None
         resumed_engine = ChaseEngine(kb, variant=ChaseVariant.CORE)
@@ -351,7 +339,6 @@ class TestSnapshotRoundTrip:
 class TestCompiledTelemetry:
     def test_metrics_flow(self):
         registry = MetricsRegistry()
-        get_cache().clear()
         with observing(MetricsObserver(registry)):
             run_chase(elevator_kb(), variant=ChaseVariant.RESTRICTED, max_steps=6)
         assert registry.counter("compiled.plans").value > 0
@@ -360,7 +347,6 @@ class TestCompiledTelemetry:
 
     def test_compile_and_join_plan_events_traced(self):
         buffer = io.StringIO()
-        get_cache().clear()
         with observing(TracingObserver(JsonlTracer(buffer))):
             run_chase(elevator_kb(), variant=ChaseVariant.RESTRICTED, max_steps=4)
         kinds = {
@@ -373,7 +359,6 @@ class TestCompiledTelemetry:
 
     def test_no_events_when_compiled_disabled(self):
         buffer = io.StringIO()
-        get_cache().clear()
         with observing(TracingObserver(JsonlTracer(buffer))):
             run_chase(
                 elevator_kb(),

@@ -25,7 +25,6 @@ from repro.logic.coremaint import (
     _neighborhood_fingerprint,
 )
 from repro.logic.cores import core_of, core_retraction, is_core
-from repro.logic.homcache import get_cache
 from repro.logic.isomorphism import isomorphic
 from repro.logic.parser import parse_atoms
 
@@ -56,7 +55,6 @@ class TestMaintainerDifferential:
     """Maintainer vs naive ``core_retraction``, step by step."""
 
     def _check_run(self, kb, max_steps):
-        get_cache().clear()
         steps = []
         result = run_chase(
             kb,
@@ -101,7 +99,6 @@ class TestMaintainerDifferential:
     def test_random_kbs_match_naive_engine(self, kb):
         """Whole-run equivalence: same rule sequence and isomorphic
         per-step instances as the fully naive engine."""
-        get_cache().clear()
         fast = run_chase(kb, variant=ChaseVariant.CORE, max_steps=6)
         slow = run_chase(
             kb, variant=ChaseVariant.CORE, max_steps=6, use_index=False

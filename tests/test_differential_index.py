@@ -28,7 +28,6 @@ from repro.chase.trigger import triggers
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import random_kb
 from repro.kbs.staircase import staircase_kb
-from repro.logic.homcache import get_cache
 from repro.logic.isomorphism import isomorphic
 
 MAX_STEPS = 10
@@ -59,13 +58,10 @@ def _rule_sequence(result):
 
 
 def assert_equivalent_runs(kb, variant, max_steps=MAX_STEPS):
-    get_cache().clear()
     compiled = run_chase(kb, variant=variant, max_steps=max_steps)
-    get_cache().clear()
     indexed = run_chase(
         kb, variant=variant, max_steps=max_steps, use_compiled=False
     )
-    get_cache().clear()
     naive = run_chase(kb, variant=variant, max_steps=max_steps, use_index=False)
 
     # Tier 1 — compiled vs indexed: identical witnesses, so equality.
@@ -108,7 +104,6 @@ def test_trigger_index_pool_matches_rescan_on_random_kbs(
     semi-naive one)."""
     from repro.chase.engine import ChaseEngine
 
-    get_cache().clear()
     engine = ChaseEngine(kb, variant=variant, use_compiled=use_compiled)
     result = engine.run(max_steps=MAX_STEPS)
     index = engine._index

@@ -16,8 +16,10 @@ import repro.service.executor as executor_module
 from repro import staircase_kb
 from repro.kbs.witnesses import manager_kb
 from repro.logic.serialization import dump_kb
+from repro.obs import JsonlTracer, TracingObserver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer, observing
+from repro.obs.spans import read_trace_dir
 from repro.service.executor import (
     JobExecutor,
     RetryPolicy,
@@ -390,3 +392,32 @@ class TestProcessPool:
         snap = registry.snapshot()
         assert snap["chase.steps"]["value"] > 0  # merged from workers
         assert snap["service.queue_depth"]["value"] == 0
+
+    def test_every_span_close_has_a_duration_under_a_worker_kill(
+        self, tmp_path
+    ):
+        # Regression: the supervisor's own spans (job_attempt,
+        # retry_backoff, pool_rebuild) closed without ``seconds``, so
+        # their span.* timers recorded zeros.
+        plan = FaultPlan(tmp_path / "faults")
+        plan.arm("worker.kill_mid_job")
+        trace_dir = tmp_path / "trace"
+        trace_dir.mkdir()
+        with open(trace_dir / "parent.jsonl", "w") as sink:
+            with observing(TracingObserver(JsonlTracer(sink))):
+                with JobExecutor(
+                    1,
+                    snapshot_dir=tmp_path / "snaps",
+                    retry_policy=RetryPolicy(**FAST_RETRY),
+                    fault_dir=plan.root,
+                    trace_dir=trace_dir,
+                ) as ex:
+                    result = ex.submit(entail_request()).result(timeout=300)
+        assert result.ok and ex.pool_rebuilds == 1
+        events, _ = read_trace_dir(trace_dir)
+        closes = [e for e in events if e["kind"] == "span_close"]
+        names = {e["name"] for e in closes}
+        assert {"job_attempt", "retry_backoff", "pool_rebuild"} <= names
+        assert all(e.get("seconds", -1.0) >= 0 for e in closes), [
+            e["name"] for e in closes if "seconds" not in e
+        ]

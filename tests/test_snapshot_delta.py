@@ -553,13 +553,10 @@ class TestDeltaSinceCoreAcrossSymbolReset:
         restored after a symbol-table reset (a fresh process), it must
         resume to the same instance as an uninterrupted run."""
         from repro.logic.compiled.interner import reset_symbol_table
-        from repro.logic.homcache import get_cache
 
         kb = staircase_kb()
-        get_cache().clear()
         straight = run_chase(kb, variant="core", core_every=3, max_steps=10)
 
-        get_cache().clear()
         engine = ChaseEngine(kb, variant="core", core_every=3)
         engine.run(5)
         store = SnapshotStore(tmp_path)
@@ -572,7 +569,6 @@ class TestDeltaSinceCoreAcrossSymbolReset:
 
         # A fresh process: new interner codes, nothing shared.
         reset_symbol_table()
-        get_cache().clear()
         restored = store.load(kb, "core", 3)
         assert restored is not None
         assert restored.delta_since_core == cut_state.delta_since_core

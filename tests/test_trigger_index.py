@@ -1,5 +1,5 @@
-"""Unit tests for the incremental trigger index and the homomorphism
-memo — in particular their behaviour under core retraction."""
+"""Unit tests for the incremental trigger index — in particular its
+behaviour under core retraction."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.chase.engine import ChaseEngine, ChaseVariant
 from repro.chase.trigger import Trigger, apply_trigger, triggers, triggers_from_delta
 from repro.chase.trigger_index import TriggerIndex
 from repro.kbs.elevator import elevator_kb
-from repro.kbs.generators import random_kb, star_instance
-from repro.kbs.staircase import staircase_kb
-from repro.logic.cores import core_retraction
-from repro.logic.homcache import HomomorphismCache, get_cache, set_cache
-from repro.logic.homomorphism import find_homomorphism
+from repro.kbs.generators import random_kb
 from repro.logic.parser import parse_atoms, parse_rules
 from repro.logic.substitution import Substitution
 from repro.logic.terms import FreshVariableSource
@@ -144,114 +140,3 @@ class TestTriggerIndexMaintenance:
         assert stats["delta_atoms"] == len(delta)
         assert set(index._live.keys()) == rescan(kb.rules, grown)
         assert index._satisfied == rescan_satisfied(kb.rules, grown)
-
-
-class TestHomomorphismCache:
-    def setup_method(self):
-        self._previous = set_cache(HomomorphismCache(max_entries=8))
-
-    def teardown_method(self):
-        set_cache(self._previous)
-
-    def test_memo_hit_on_repeated_search(self):
-        cache = get_cache()
-        source = parse_atoms("e(X, Y)")
-        target = parse_atoms("e(a, b)")
-        first = find_homomorphism(source, target)
-        assert first is not None
-        assert cache.misses >= 1
-        hits_before = cache.hits
-        second = find_homomorphism(source, target)
-        assert second == first
-        assert cache.hits == hits_before + 1
-
-    def test_negative_results_are_cached_too(self):
-        cache = get_cache()
-        source = parse_atoms("e(X, X)")
-        target = parse_atoms("e(a, b)")
-        assert find_homomorphism(source, target) is None
-        hits_before = cache.hits
-        assert find_homomorphism(source, target) is None
-        assert cache.hits == hits_before + 1
-
-    def test_mutation_changes_fingerprint_and_misses(self):
-        cache = get_cache()
-        source = parse_atoms("e(X, X)")
-        target = parse_atoms("e(a, b)").copy()
-        assert find_homomorphism(source, target) is None
-        for at in parse_atoms("e(c, c)"):
-            target.add(at)
-        assert find_homomorphism(source, target) is not None
-        assert cache.hits == 0  # the grown target is a different key
-
-    def test_invalidate_drops_entries_of_a_fingerprint(self):
-        cache = get_cache()
-        source = parse_atoms("e(X, Y)")
-        target = parse_atoms("e(a, b)")
-        find_homomorphism(source, target)
-        assert len(cache) == 1
-        dropped = cache.invalidate(target.fingerprint())
-        assert dropped == 1
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-        hit, _ = cache.lookup(
-            (source.fingerprint(), target.fingerprint(), None, frozenset(), False)
-        )
-        assert not hit
-
-    def test_eviction_keeps_the_cache_bounded(self):
-        cache = get_cache()
-        for i in range(40):
-            find_homomorphism(
-                parse_atoms(f"p(c{i})"), parse_atoms(f"p(c{i}), p(d{i})")
-            )
-        assert len(cache) <= cache.max_entries
-
-    def test_core_retraction_invalidates_intermediate_retracts(self, monkeypatch):
-        """core_retraction invalidates the memo entries of every
-        *intermediate* retract it folds through, keeping the caller's
-        input cached (it is still live).  A sequential one-null-per-step
-        folder is injected, since the real search usually folds
-        everything in a single endomorphism."""
-        import repro.logic.cores as cores_module
-
-        class RecordingCache(HomomorphismCache):
-            invalidated: list
-
-            def __init__(self):
-                super().__init__()
-                self.invalidated = []
-
-            def invalidate(self, fingerprint):
-                self.invalidated.append(fingerprint)
-                return super().invalidate(fingerprint)
-
-        cache = RecordingCache()
-        set_cache(cache)
-
-        def single_fold(source, target, **kwargs):
-            nulls = sorted(source.variables(), key=lambda v: v.name)
-            if len(nulls) <= 1:
-                return None
-            return Substitution({nulls[0]: nulls[1]})
-
-        monkeypatch.setattr(cores_module, "find_homomorphism", single_fold)
-        star = star_instance(3)  # e(hub, R0..R2): folds R0->R1, R1->R2
-        intermediate = parse_atoms("e(hub, R1), e(hub, R2)")
-        core_retraction(star)
-        assert cache.invalidated == [intermediate.fingerprint()]
-        assert star.fingerprint() not in cache.invalidated
-
-    def test_indexed_core_chase_invalidates_retracted_pre_instances(self):
-        cache = get_cache()
-        result = ChaseEngine(staircase_kb(), variant=ChaseVariant.CORE).run(
-            max_steps=12
-        )
-        retracting = [
-            step
-            for step in result.derivation.steps
-            if step.trigger is not None and not step.is_identity_step()
-        ]
-        assert retracting, "workload must retract for this test to bite"
-        for step in retracting:
-            assert step.pre_instance.fingerprint() not in cache._by_fingerprint
