@@ -225,8 +225,10 @@ def _summaries_close(live, offline, tolerance=1e-6):
 
 def verify_traces(trace_dir, stats):
     """Merge the run's span files, archive them, and prove the tracing
-    claims: the killed-and-retried request is one causal timeline, and
-    live stats percentiles equal offline span-derived ones."""
+    claims: every event matches its event-table entry, the
+    killed-and-retried request is one causal timeline, and live stats
+    percentiles equal offline span-derived ones."""
+    from repro.obs import schema_errors
     from repro.obs.spans import (
         build_trace,
         latency_summary,
@@ -243,6 +245,14 @@ def verify_traces(trace_dir, stats):
         for event in events:
             handle.write(json.dumps(event) + "\n")
     print(f"wrote {merged} ({len(events)} events from the run)")
+
+    # The server and every worker (killed, retried, rebuilt) wrote these:
+    # each must have a known kind and its kind's required fields.
+    problems = [error for event in events for error in schema_errors(event)]
+    assert not problems, (
+        f"{len(problems)} event-table violation(s), e.g. {problems[:5]}"
+    )
+    print(f"all {len(events)} trace events match the event table")
 
     # The killed-and-retried request must reconstruct as ONE causal
     # timeline: request + job spans from the server, both worker

@@ -385,7 +385,8 @@ class Planner:
         strategy = plan(verdict)
         observer = _observer_state.current
         if observer is not None:
-            observer.planner_decision(
+            observer.emit(
+                "planner_decision",
                 rules_fingerprint=verdict.rules_fingerprint[:16],
                 strategy=strategy.name,
                 cached=source,

@@ -126,7 +126,8 @@ class RobustSequence:
         for term in g0.terms():
             self.stable_since[term] = 0
         if self._observer is not None:
-            self._observer.robust_step(
+            self._observer.emit(
+                "robust_step",
                 step=0,
                 renamed=len(renaming0.drop_trivial()),
                 atoms=len(g0),
@@ -173,7 +174,8 @@ class RobustSequence:
                     new_stable[term] = min(new_stable[term], 0)
             self.stable_since = new_stable
             if self._observer is not None:
-                self._observer.robust_step(
+                self._observer.emit(
+                    "robust_step",
                     step=index,
                     renamed=len(renaming.drop_trivial()),
                     atoms=len(g_i),

@@ -91,7 +91,8 @@ class CompiledTriggerIndex(TriggerIndex):
             encoded, var_codes = source_plan(rule.body, rule.body.sorted_atoms())
             self._plans[rule.name] = (encoded, var_codes)
             if observer is not None:
-                observer.compile(
+                observer.emit(
+                    "compile",
                     rule=rule.name or "",
                     body_atoms=len(encoded),
                     variables=len(var_codes),
@@ -161,7 +162,8 @@ class CompiledTriggerIndex(TriggerIndex):
 
         observer = _observer_state.current
         if observer is not None:
-            observer.join_plan(
+            observer.emit(
+                "join_plan",
                 delta_atoms=len(delta),
                 plans_run=plan_runs,
                 triggers_new=len(new_keys),

@@ -628,7 +628,8 @@ class ChaseEngine:
             step_index = len(self._steps)
             birth = step_index + self.applications_offset
             if observer is not None:
-                observer.chase_step_started(
+                observer.emit(
+                    "chase_step_started",
                     step=step_index,
                     variant=self.variant,
                     atoms=len(self._current),
@@ -653,7 +654,8 @@ class ChaseEngine:
                 key=lambda tr: (self._ages[self._age_key(tr)], tr.sort_key()),
             )
             if observer is not None:
-                observer.trigger_selected(
+                observer.emit(
+                    "trigger_selected",
                     step=step_index,
                     rule=chosen.rule.name,
                     active=len(active),
@@ -701,7 +703,8 @@ class ChaseEngine:
                 if proper_retraction:
                     transport_stats = self._index.transport(sigma)
                 if observer is not None:
-                    observer.trigger_index_update(
+                    observer.emit(
+                        "trigger_index_update",
                         step=step_index,
                         delta_atoms=delta_stats["delta_atoms"],
                         triggers_new=delta_stats["triggers_new"],
@@ -718,10 +721,12 @@ class ChaseEngine:
             self._steps.append(step)
             performed += 1
             if observer is not None:
-                observer.trigger_retired(
+                observer.emit(
+                    "trigger_retired",
                     step=step_index, rule=chosen.rule.name, reason="applied"
                 )
-                observer.chase_step_finished(
+                observer.emit(
+                    "chase_step_finished",
                     step=step_index,
                     rule=chosen.rule.name,
                     atoms_before=atoms_before,
@@ -737,7 +742,8 @@ class ChaseEngine:
                 if observer is not None:
                     collapsed = before_transport - len(self._ages)
                     if collapsed:
-                        observer.trigger_retired(
+                        observer.emit(
+                            "trigger_retired",
                             step=step_index,
                             rule=None,
                             reason="collapsed",

@@ -79,7 +79,7 @@ from .obs import (
     observing,
     read_trace_lenient,
 )
-from .obs.stats import render_summary, summarize_trace
+from .obs.stats import drop_malformed, render_summary, summarize_trace
 from .query import boolean_cq, decide_entailment
 from .service.deadline import Deadline
 from .treewidth import SearchBudgetExceeded, treewidth, treewidth_bounds
@@ -709,10 +709,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(_metrics_snapshot_table(snapshot).render(), end="")
         return 0
     events, skipped = read_trace_lenient(stripped.splitlines())
+    events, malformed = drop_malformed(events)
+    skipped += malformed
     if skipped:
         print(
             f"# stats: skipped {skipped} malformed line(s) "
-            "(truncated or torn trace)"
+            "(torn, or missing a required field)"
         )
     if not events:
         print(f"stats: no readable events in {args.trace}")

@@ -225,14 +225,16 @@ class CoreMaintainer:
 
         if observer is not None:
             seconds = time.perf_counter() - started
-            observer.core_retraction(
+            observer.emit(
+                "core_retraction",
                 atoms_before=len(pre_instance),
                 atoms_after=len(core),
                 variables_folded=len(pre_instance.variables())
                 - len(core.variables()),
                 seconds=seconds,
             )
-            observer.core_maintenance(
+            observer.emit(
+                "core_maintenance",
                 mode=stats["mode"],
                 atoms_before=len(pre_instance),
                 atoms_after=len(core),

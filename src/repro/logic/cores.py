@@ -86,7 +86,8 @@ def core_retraction(atoms: AtomSet) -> Substitution:
     started = time.perf_counter() if observer is not None else 0.0
     total, current = _fold_pass(atoms)
     if observer is not None:
-        observer.core_retraction(
+        observer.emit(
+            "core_retraction",
             atoms_before=len(atoms),
             atoms_after=len(current),
             variables_folded=len(atoms.variables()) - len(current.variables()),

@@ -284,7 +284,8 @@ def find_homomorphism(
         ),
         None,
     )
-    observer.homomorphism_search(
+    observer.emit(
+        "homomorphism_search",
         found=found is not None,
         backtracks=stats.get("backtracks", 0),
         source_atoms=stats.get("source_atoms", 0),

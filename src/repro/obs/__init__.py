@@ -11,8 +11,10 @@ exposes them as first-class data instead of burying them in a final
   no-op instruments when disabled;
 * :mod:`repro.obs.observer` — the :class:`Observer` protocol the hot
   paths (chase engine, core retraction, homomorphism search, exact
-  treewidth, robust aggregation) report into, plus the process-global
-  ``current`` observer those paths check with a single attribute test;
+  treewidth, robust aggregation) report into through one
+  ``emit(kind, **fields)``, the :data:`EVENTS` table that defines each
+  kind's fields and metric update, plus the process-global ``current``
+  observer those paths check with a single attribute test;
 * :mod:`repro.obs.tracer` — :class:`JsonlTracer` /
   :class:`TracingObserver`, emitting one JSON object per event so a run
   can be replayed offline (``repro stats``), and
@@ -50,10 +52,13 @@ from .metrics import (
     set_registry,
 )
 from .observer import (
-    CompositeObserver,
+    EVENT_KINDS,
+    EVENTS,
+    LATENCY_BOUNDS,
     Observer,
     get_observer,
     observing,
+    schema_errors,
     set_observer,
 )
 from .spans import (
@@ -66,8 +71,6 @@ from .spans import (
     span,
 )
 from .tracer import (
-    EVENT_KINDS,
-    LATENCY_BOUNDS,
     JsonlTracer,
     MetricsObserver,
     TracingObserver,
@@ -76,8 +79,8 @@ from .tracer import (
 )
 
 __all__ = [
-    "CompositeObserver",
     "Counter",
+    "EVENTS",
     "EVENT_KINDS",
     "Gauge",
     "Histogram",
@@ -99,6 +102,7 @@ __all__ = [
     "read_trace",
     "read_trace_dir",
     "read_trace_lenient",
+    "schema_errors",
     "set_observer",
     "set_registry",
     "span",

@@ -1,6 +1,7 @@
-"""The :class:`Observer` protocol the instrumented hot paths report into.
+"""The :class:`Observer` protocol the instrumented hot paths report into,
+and :data:`EVENTS`, the one table of event kinds it carries.
 
-Design constraints (ISSUE 1 / the telemetry tentpole):
+Design constraints:
 
 * **Zero-cost when off.**  Every instrumented module keeps a reference
   to this module and tests ``observer.current is not None`` — a single
@@ -11,11 +12,12 @@ Design constraints (ISSUE 1 / the telemetry tentpole):
   (managed by :func:`set_observer` / :func:`observing`) reaches the
   functional hot paths (homomorphism search, core retraction, exact
   treewidth) that have no object to hang state on.
-* **No-op base class.**  Subclasses override only the callbacks they
-  care about; every callback takes keyword arguments only, so adding a
-  payload field later never breaks an observer.
+* **One entry point.**  Emit sites call ``observer.emit(kind,
+  **fields)``; subclasses override :meth:`Observer.emit` and filter on
+  ``kind``.  :data:`EVENTS` gives each kind's fields and the metrics it
+  feeds; ``docs/OBSERVABILITY.md`` gives what the fields mean.
 
-The callbacks mirror the paper's quantities: per-step retraction sizes
+The kinds mirror the paper's quantities: per-step retraction sizes
 (Section 7), homomorphism search effort (the single semantic primitive),
 treewidth search budgets (Section 4), robust-renaming churn (Section 8).
 """
@@ -23,415 +25,308 @@ treewidth search budgets (Section 4), robust-renaming churn (Section 8).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
+
+from .metrics import MetricsRegistry
 
 __all__ = [
+    "EVENTS",
+    "EVENT_KINDS",
+    "LATENCY_BOUNDS",
+    "Event",
     "Observer",
-    "CompositeObserver",
     "current",
     "get_observer",
     "set_observer",
     "observing",
+    "schema_errors",
 ]
 
 
 class Observer:
-    """No-op base observer; override the callbacks you need.
+    """No-op base observer; override :meth:`emit` to receive events.
 
-    All callbacks are keyword-only.  Implementations must not mutate the
-    engine's state and should be fast — they run inline on hot paths.
+    Implementations must not mutate the engine's state and should be
+    fast — they run inline on hot paths.
     """
 
     __slots__ = ()
 
-    # -- chase engine (repro.chase.engine) -----------------------------
-
-    def chase_step_started(self, *, step: int, variant: str, atoms: int) -> None:
-        """A chase iteration began: the engine is about to enumerate the
-        active triggers of the current ``F_{step-1}`` (*atoms* atoms)."""
-
-    def trigger_selected(
-        self, *, step: int, rule: Optional[str], active: int
-    ) -> None:
-        """Fair scheduling picked the oldest of *active* triggers."""
-
-    def trigger_retired(
-        self,
-        *,
-        step: int,
-        rule: Optional[str],
-        reason: str,
-        count: int = 1,
-    ) -> None:
-        """*count* triggers left the active pool: ``applied`` (the
-        selected trigger was applied / is now satisfied) or
-        ``collapsed`` (a simplification folded distinct trigger keys
-        together)."""
-
-    def chase_step_finished(
-        self,
-        *,
-        step: int,
-        rule: Optional[str],
-        atoms_before: int,
-        atoms_applied: int,
-        atoms_after: int,
-        retracted: int,
-    ) -> None:
-        """Step *step* is recorded: ``F_{step-1}`` had *atoms_before*
-        atoms, the application ``A_step`` has *atoms_applied*, the
-        simplified ``F_step`` has *atoms_after*; *retracted* is the
-        difference (the paper's per-step retraction size)."""
-
-    # -- core retraction (repro.logic.cores) ---------------------------
-
-    def core_retraction(
-        self,
-        *,
-        atoms_before: int,
-        atoms_after: int,
-        variables_folded: int,
-        seconds: float,
-    ) -> None:
-        """One :func:`~repro.logic.cores.core_retraction` call finished
-        (identity retractions report ``atoms_before == atoms_after``)."""
-
-    # -- incremental core maintenance (repro.logic.coremaint) ----------
-
-    def core_maintenance(
-        self,
-        *,
-        mode: str,
-        atoms_before: int,
-        atoms_after: int,
-        folds: int,
-        candidates_tried: int,
-        skip_hits: int,
-        seeded_searches: int,
-        pairs_checked: int,
-        cert_invalidated: int,
-        clean_broken: bool,
-        seconds: float,
-    ) -> None:
-        """One :meth:`~repro.logic.coremaint.CoreMaintainer.retract`
-        finished.  *mode* is ``incremental`` or ``full``;
-        *candidates_tried* counts per-variable fold searches launched
-        (*seeded_searches* of which carried an identity seed),
-        *skip_hits* counts certified variables skipped wholesale by the
-        escape scan, *pairs_checked* the pinned (old, delta) atom pairs
-        that scan enumerated, *cert_invalidated* the certificates
-        invalidated on entry by the step's delta, and *clean_broken*
-        whether a fold moved the previously certified part (forcing the
-        exact fallback and a full certificate recompute)."""
-
-    # -- homomorphism search (repro.logic.homomorphism) ----------------
-
-    def homomorphism_search(
-        self,
-        *,
-        found: bool,
-        backtracks: int,
-        source_atoms: int,
-        target_atoms: int,
-        seconds: float,
-    ) -> None:
-        """One single-witness search finished; *backtracks* counts undo
-        operations of tentative atom matches (the search effort)."""
-
-    # -- trigger index (repro.chase.trigger_index) ---------------------
-
-    def trigger_index_update(
-        self,
-        *,
-        step: int,
-        delta_atoms: int,
-        triggers_new: int,
-        triggers_reused: int,
-        satisfaction_rechecks: int,
-        transported: int,
-        collapsed: int,
-    ) -> None:
-        """The incremental trigger index absorbed one chase step:
-        *delta_atoms* atoms entered the instance, *triggers_new* triggers
-        were discovered by delta re-matching while *triggers_reused* were
-        carried over unchanged, *satisfaction_rechecks* satisfaction
-        tests actually ran, and — when the step retracted — *transported*
-        live triggers travelled through the simplification with
-        *collapsed* of them folding onto identical keys."""
-
-    # -- compiled kernel (repro.logic.compiled / repro.chase.compiled_index)
-
-    def compile(self, *, rule: str, body_atoms: int, variables: int) -> None:
-        """One rule body was compiled to a join plan over the interned
-        relations (:class:`~repro.chase.compiled_index.
-        CompiledTriggerIndex` construction, or recompilation after a
-        symbol-table reset)."""
-
-    def join_plan(
-        self,
-        *,
-        delta_atoms: int,
-        plans_run: int,
-        triggers_new: int,
-        tuples: int,
-    ) -> None:
-        """One semi-naive delta round finished: *plans_run* compiled
-        body plans were seeded from *delta_atoms* new tuples, yielding
-        *triggers_new* previously unseen triggers; *tuples* is the
-        instance's current interned-tuple count."""
-
-    # -- query service (repro.service) ---------------------------------
-
-    def service_request(self, *, op: str, coalesced: bool) -> None:
-        """The server accepted one request; *coalesced* is True when an
-        identical in-flight job absorbed it (no new work scheduled)."""
-
-    def service_job(
-        self,
-        *,
-        op: str,
-        ok: bool,
-        warm: bool,
-        incomplete: bool,
-        deadline_expired: bool,
-        applications: int,
-        seconds: float,
-        ancestor: bool = False,
-    ) -> None:
-        """One service job finished: *warm* iff it resumed from an exact
-        chase snapshot, *ancestor* iff it resumed incrementally from a
-        nearest-ancestor snapshot, *incomplete* iff it degraded to
-        partial sound answers, *applications* the new rule applications
-        it performed, *seconds* its wall-clock latency (queueing
-        included)."""
-
-    def service_retry(
-        self,
-        *,
-        op: str,
-        attempt: int,
-        delay: float,
-        error: str,
-    ) -> None:
-        """The supervised executor scheduled retry *attempt* (1-based)
-        of a job after a transient failure (*error*), to fire after
-        *delay* seconds of jittered exponential backoff."""
-
-    def service_pool_rebuild(self, *, pending: int) -> None:
-        """The executor replaced a broken worker pool (a worker died and
-        poisoned it); *pending* jobs were in flight at the swap."""
-
-    def planner_decision(
-        self,
-        *,
-        strategy: str,
-        cached: str,
-        rules_fingerprint: str = "",
-        terminating: bool = False,
-        bts: bool = False,
-        k_bound: Optional[int] = None,
-    ) -> None:
-        """The planner routed one job: *strategy* is the chosen strategy
-        name (one of :data:`repro.analysis.planner.STRATEGY_NAMES`),
-        *cached* where the verdict came from (``memory`` / ``store`` /
-        ``computed``), *terminating* / *bts* / *k_bound* the headline
-        verdict fields, *rules_fingerprint* a 16-hex prefix of the
-        verdict-cache key."""
-
-    def query_rewrite(
-        self,
-        *,
-        source: str,
-        fragment: str = "",
-        complete: bool = False,
-        disjuncts: int = 0,
-        pruned: int = 0,
-    ) -> None:
-        """The query-plan cache served one lookup: *source* is where the
-        plan came from (``memory`` / ``store`` / ``computed``),
-        *fragment* the rewritable fragment (``linear`` / ``guarded``, or
-        ``""`` when the ruleset is not rewritable), *complete* whether
-        the piece-rewriting saturation reached its fixpoint within
-        budget (an incomplete plan forces the Theorem-1 race fallback
-        on a miss), *disjuncts* the kept UCQ size, *pruned* how many
-        candidates dedup/subsumption dropped."""
-
-    def snapshot_access(
-        self,
-        *,
-        op: str,
-        hit: bool,
-        corrupt: bool = False,
-        atoms: int = 0,
-        seconds: float = 0.0,
-        chain_depth: int = 0,
-        chain_broken: bool = False,
-        bytes_saved: int = 0,
-        ancestor: bool = False,
-    ) -> None:
-        """The snapshot store served one access: *op* is ``load``,
-        ``save``, ``resolve`` (an ancestor-resolution probe after an
-        exact miss), or ``evict`` (an LRU eviction by a size-bounded
-        store); on loads *hit* reports whether a usable state came back
-        and *corrupt* whether an unreadable entry was discarded.
-        ``chain_depth`` is the delta-chain length served or written,
-        ``chain_broken`` marks a damaged chain dropped for a cold
-        fallback, ``bytes_saved`` is the full-state size minus the
-        delta record a save actually wrote, and ``ancestor`` marks a
-        resolve that produced a usable ancestor entry."""
-
-    # -- spans (repro.obs.spans) ---------------------------------------
-
-    def span_open(
-        self,
-        *,
-        name: str,
-        trace_id: str,
-        span_id: str,
-        parent_span_id: Optional[str] = None,
-        **attrs,
-    ) -> None:
-        """A request-lifecycle span opened (:func:`repro.obs.spans.span`).
-
-        *name* is the phase (``service_request``, ``service_job``,
-        ``job_attempt``, ``retry_backoff``, ``pool_rebuild``,
-        ``queue_wait``, ``snapshot_load``, ``chase``, ...); *attrs* are
-        span-specific annotations (``op``, ``attempt``, ``coalesced``,
-        link fields, ...)."""
-
-    def span_close(
-        self,
-        *,
-        name: str,
-        trace_id: str,
-        span_id: str,
-        parent_span_id: Optional[str] = None,
-        status: str = "ok",
-        seconds: float = 0.0,
-        **attrs,
-    ) -> None:
-        """The matching close: *status* is ``ok``, ``error`` (the phase
-        raised or the attempt failed — *attrs* then carries ``error``)
-        or ``aborted`` (shutdown cancelled a parked retry backoff)."""
-
-    # -- exact treewidth (repro.treewidth.exact) -----------------------
-
-    def treewidth_search(
-        self,
-        *,
-        k: int,
-        verdict: Optional[bool],
-        budget_consumed: int,
-    ) -> None:
-        """One "width ≤ k?" decision finished; *verdict* is None when the
-        state budget ran out after *budget_consumed* states."""
-
-    # -- robust aggregation (repro.chase.aggregation) ------------------
-
-    def robust_step(
-        self,
-        *,
-        step: int,
-        renamed: int,
-        atoms: int,
-        stable_terms: int,
-    ) -> None:
-        """The robust sequence advanced to ``G_step`` (*atoms* atoms);
-        *renamed* variables were rewritten by ``ρ_{σ'}`` and
-        *stable_terms* terms of ``G_step`` are stable so far."""
+    def emit(self, kind: str, **fields) -> None:
+        """One event of *kind* (a key of :data:`EVENTS`) with its fields."""
 
 
-class CompositeObserver(Observer):
-    """Fan events out to several observers, in order."""
+#: Histogram bucket bounds for service job latencies, in seconds: the
+#: default 1-2-5 decades start at 1 and would lump every sub-second job
+#: into one bucket, useless for p50/p95 targets on a warm-started path.
+LATENCY_BOUNDS = (
+    0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+    0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
+)
 
-    __slots__ = ("observers",)
 
-    def __init__(self, observers: Sequence[Observer]):
-        self.observers = list(observers)
+# -- metric updates, one per kind ---------------------------------------
+# Each takes (registry, fields); *fields* holds every optional field of
+# its kind, defaulted where the emit site left it out.
 
-    def chase_step_started(self, **kw) -> None:
-        for obs in self.observers:
-            obs.chase_step_started(**kw)
 
-    def trigger_selected(self, **kw) -> None:
-        for obs in self.observers:
-            obs.trigger_selected(**kw)
+def _chase_step_started(reg, f):
+    reg.gauge("chase.atoms").set(f["atoms"])
 
-    def trigger_retired(self, **kw) -> None:
-        for obs in self.observers:
-            obs.trigger_retired(**kw)
 
-    def chase_step_finished(self, **kw) -> None:
-        for obs in self.observers:
-            obs.chase_step_finished(**kw)
+def _trigger_selected(reg, f):
+    reg.counter("trigger.selected").inc()
+    reg.gauge("chase.active_triggers").set(f["active"])
 
-    def core_retraction(self, **kw) -> None:
-        for obs in self.observers:
-            obs.core_retraction(**kw)
 
-    def core_maintenance(self, **kw) -> None:
-        for obs in self.observers:
-            obs.core_maintenance(**kw)
+def _trigger_retired(reg, f):
+    reg.counter("trigger.retired").inc(f["count"])
 
-    def homomorphism_search(self, **kw) -> None:
-        for obs in self.observers:
-            obs.homomorphism_search(**kw)
 
-    def trigger_index_update(self, **kw) -> None:
-        for obs in self.observers:
-            obs.trigger_index_update(**kw)
+def _chase_step_finished(reg, f):
+    retracted = f["retracted"]
+    reg.counter("chase.steps").inc()
+    reg.gauge("chase.atoms").set(f["atoms_after"])
+    if retracted > 0:
+        reg.counter("chase.retractions").inc()
+        reg.counter("chase.atoms_retracted").inc(retracted)
+    reg.histogram("chase.retraction_size").observe(retracted)
 
-    def compile(self, **kw) -> None:
-        for obs in self.observers:
-            obs.compile(**kw)
 
-    def join_plan(self, **kw) -> None:
-        for obs in self.observers:
-            obs.join_plan(**kw)
+def _core_retraction(reg, f):
+    reg.counter("core.retractions").inc()
+    reg.counter("core.variables_folded").inc(f["variables_folded"])
+    reg.timer("core.time").record(f["seconds"])
 
-    def service_request(self, **kw) -> None:
-        for obs in self.observers:
-            obs.service_request(**kw)
 
-    def service_job(self, **kw) -> None:
-        for obs in self.observers:
-            obs.service_job(**kw)
+def _core_maintenance(reg, f):
+    reg.counter("core.maintained").inc()
+    for name in ("skip_hits", "candidates_tried", "pairs_checked",
+                 "cert_invalidated"):
+        reg.counter(f"core.{name}").inc(f[name])
+    if f["clean_broken"]:
+        reg.counter("core.clean_broken").inc()
 
-    def service_retry(self, **kw) -> None:
-        for obs in self.observers:
-            obs.service_retry(**kw)
 
-    def service_pool_rebuild(self, **kw) -> None:
-        for obs in self.observers:
-            obs.service_pool_rebuild(**kw)
+def _homomorphism_search(reg, f):
+    backtracks = f["backtracks"]
+    reg.counter("hom.searches").inc()
+    if f["found"]:
+        reg.counter("hom.found").inc()
+    reg.counter("hom.backtracks").inc(backtracks)
+    reg.histogram("hom.backtracks_per_search").observe(backtracks)
+    reg.timer("hom.time").record(f["seconds"])
 
-    def planner_decision(self, **kw) -> None:
-        for obs in self.observers:
-            obs.planner_decision(**kw)
 
-    def query_rewrite(self, **kw) -> None:
-        for obs in self.observers:
-            obs.query_rewrite(**kw)
+def _trigger_index_update(reg, f):
+    for name in ("delta_atoms", "triggers_new", "triggers_reused",
+                 "satisfaction_rechecks", "collapsed"):
+        reg.counter(f"index.{name}").inc(f[name])
 
-    def snapshot_access(self, **kw) -> None:
-        for obs in self.observers:
-            obs.snapshot_access(**kw)
 
-    def span_open(self, **kw) -> None:
-        for obs in self.observers:
-            obs.span_open(**kw)
+def _compile(reg, f):
+    reg.counter("compiled.plans").inc()
 
-    def span_close(self, **kw) -> None:
-        for obs in self.observers:
-            obs.span_close(**kw)
 
-    def treewidth_search(self, **kw) -> None:
-        for obs in self.observers:
-            obs.treewidth_search(**kw)
+def _join_plan(reg, f):
+    reg.counter("compiled.delta_rounds").inc()
+    reg.gauge("compiled.tuples").set(f["tuples"])
 
-    def robust_step(self, **kw) -> None:
-        for obs in self.observers:
-            obs.robust_step(**kw)
+
+def _service_request(reg, f):
+    reg.counter("service.requests").inc()
+    if f["coalesced"]:
+        reg.counter("service.coalesced").inc()
+
+
+def _service_job(reg, f):
+    reg.counter("service.jobs").inc()
+    if not f["ok"]:
+        reg.counter("service.job_errors").inc()
+    reg.counter("service.warm_hits" if f["warm"] else "service.warm_misses").inc()
+    if f["ancestor"]:
+        reg.counter("service.ancestor_resumes").inc()
+    if f["incomplete"]:
+        reg.counter("service.incomplete").inc()
+    if f["deadline_expired"]:
+        reg.counter("service.deadline_expired").inc()
+    reg.counter("service.applications").inc(f["applications"])
+    reg.timer("service.job_seconds").record(f["seconds"])
+    reg.histogram("service.job_latency", LATENCY_BOUNDS).observe(f["seconds"])
+
+
+def _planner_decision(reg, f):
+    computed = f["cached"] == "computed"
+    reg.counter("planner.verdicts" if computed else "planner.cache_hits").inc()
+    reg.counter(f"planner.strategy.{f['strategy']}").inc()
+
+
+def _query_rewrite(reg, f):
+    reg.counter("query.plan_lookups").inc()
+    if f["source"] == "computed":
+        if f["fragment"]:
+            reg.counter("query.rewrites").inc()
+        reg.counter("query.disjuncts_pruned").inc(f["pruned"])
+    else:
+        reg.counter("query.plan_cache_hits").inc()
+    if f["fragment"] and not f["complete"]:
+        reg.counter("query.rewrite_fallbacks").inc()
+
+
+def _snapshot_access(reg, f):
+    op, hit = f["op"], f["hit"]
+    if op == "load":
+        reg.counter("snapshot.loads").inc()
+        if hit:
+            reg.counter("snapshot.hits").inc()
+        if f["corrupt"]:
+            reg.counter("snapshot.corrupt").inc()
+    elif op == "resolve":
+        reg.counter("snapshot.ancestor_probes").inc()
+        if hit:
+            reg.counter("snapshot.ancestor_hits").inc()
+    elif op == "evict":
+        reg.counter("snapshot.evicted").inc()
+    else:
+        reg.counter("snapshot.saves").inc()
+        if f["bytes_saved"] > 0:
+            reg.counter("snapshot.bytes_saved").inc(f["bytes_saved"])
+    if f["chain_broken"]:
+        reg.counter("snapshot.chain_broken").inc()
+    if hit and f["chain_depth"]:
+        reg.gauge("snapshot.delta_chain_depth").set(f["chain_depth"])
+
+
+def _treewidth_search(reg, f):
+    reg.counter("tw.searches").inc()
+    reg.counter("tw.budget_consumed").inc(f["budget_consumed"])
+
+
+def _robust_step(reg, f):
+    reg.counter("robust.steps").inc()
+    reg.counter("robust.renamed").inc(f["renamed"])
+
+
+def _span_close(reg, f):
+    # Span names form a small closed set (request lifecycle phases), so
+    # one timer per name stays bounded; workers ship these back in their
+    # snapshot, giving the parent per-phase durations.
+    reg.timer(f"span.{f['name']}").record(f["seconds"])
+
+
+class Event(NamedTuple):
+    """One kind's row in :data:`EVENTS`."""
+
+    #: Fields every emit of the kind passes.
+    required: tuple[str, ...]
+    #: Fields an emit may leave out, with the value a metric update
+    #: reads in their place (a trace records only what was passed).
+    optional: dict = {}
+    #: Whether the kind also carries span-specific attributes.
+    extra: bool = False
+    #: ``update(registry, fields)``: the metrics the kind feeds.
+    update: Optional[Callable[[MetricsRegistry, dict], None]] = None
+
+
+#: Every event kind an observer can receive, in trace-summary order.
+#: ``service_retry`` and ``service_pool_rebuild`` feed no metric: the
+#: executor counts ``service.retries`` / ``service.pool_rebuilds`` (and
+#: the ``service.queue_depth`` gauge) into its own registry directly.
+EVENTS: dict[str, Event] = {
+    "chase_step_started": Event(
+        ("step", "variant", "atoms"), update=_chase_step_started
+    ),
+    "trigger_selected": Event(("step", "rule", "active"), update=_trigger_selected),
+    "trigger_retired": Event(
+        ("step", "rule", "reason"), {"count": 1}, update=_trigger_retired
+    ),
+    "chase_step_finished": Event(
+        ("step", "rule", "atoms_before", "atoms_applied", "atoms_after",
+         "retracted"),
+        update=_chase_step_finished,
+    ),
+    "core_retraction": Event(
+        ("atoms_before", "atoms_after", "variables_folded", "seconds"),
+        update=_core_retraction,
+    ),
+    "core_maintenance": Event(
+        ("mode", "atoms_before", "atoms_after", "folds", "candidates_tried",
+         "skip_hits", "seeded_searches", "pairs_checked", "cert_invalidated",
+         "clean_broken", "seconds"),
+        update=_core_maintenance,
+    ),
+    "homomorphism_search": Event(
+        ("found", "backtracks", "source_atoms", "target_atoms", "seconds"),
+        update=_homomorphism_search,
+    ),
+    "trigger_index_update": Event(
+        ("step", "delta_atoms", "triggers_new", "triggers_reused",
+         "satisfaction_rechecks", "transported", "collapsed"),
+        update=_trigger_index_update,
+    ),
+    "compile": Event(("rule", "body_atoms", "variables"), update=_compile),
+    "join_plan": Event(
+        ("delta_atoms", "plans_run", "triggers_new", "tuples"),
+        update=_join_plan,
+    ),
+    "service_request": Event(("op", "coalesced"), update=_service_request),
+    "service_job": Event(
+        ("op", "ok", "warm", "incomplete", "deadline_expired", "applications",
+         "seconds"),
+        {"ancestor": False},
+        update=_service_job,
+    ),
+    "service_retry": Event(("op", "attempt", "delay", "error")),
+    "service_pool_rebuild": Event(("pending",)),
+    "planner_decision": Event(
+        ("strategy", "cached"),
+        {"rules_fingerprint": "", "terminating": False, "bts": False,
+         "k_bound": None},
+        update=_planner_decision,
+    ),
+    "query_rewrite": Event(
+        ("source",),
+        {"fragment": "", "complete": False, "disjuncts": 0, "pruned": 0},
+        update=_query_rewrite,
+    ),
+    "snapshot_access": Event(
+        ("op", "hit"),
+        {"corrupt": False, "atoms": 0, "seconds": 0.0, "chain_depth": 0,
+         "chain_broken": False, "bytes_saved": 0, "ancestor": False},
+        update=_snapshot_access,
+    ),
+    "treewidth_search": Event(
+        ("k", "verdict", "budget_consumed"), update=_treewidth_search
+    ),
+    "robust_step": Event(
+        ("step", "renamed", "atoms", "stable_terms"), update=_robust_step
+    ),
+    "span_open": Event(
+        ("name", "trace_id", "span_id"), {"parent_span_id": None}, extra=True
+    ),
+    "span_close": Event(
+        ("name", "trace_id", "span_id", "seconds"),
+        {"parent_span_id": None, "status": "ok"},
+        extra=True,
+        update=_span_close,
+    ),
+}
+
+#: Every event kind, in :data:`EVENTS` order.
+EVENT_KINDS = tuple(EVENTS)
+
+
+def schema_errors(event: dict) -> list[str]:
+    """How trace record *event* breaks :data:`EVENTS`: an unknown kind,
+    or the required fields it lacks.  Empty when it conforms; fields
+    beyond the entry's are not checked."""
+    kind = event.get("kind")
+    entry = EVENTS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        return [f"unknown kind {kind!r}"]
+    return [
+        f"{kind} lacks {name!r}" for name in entry.required if name not in event
+    ]
 
 
 #: The process-global observer.  ``None`` means telemetry is off and the

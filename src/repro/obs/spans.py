@@ -166,7 +166,7 @@ def open_span(
     callbacks (the executor's attempt spans); prefer :func:`span`."""
     if observer is None or context is None:
         return
-    observer.span_open(name=name, **context.to_obj(), **attrs)
+    observer.emit("span_open", name=name, **context.to_obj(), **attrs)
 
 
 def close_span(
@@ -174,15 +174,22 @@ def close_span(
     context: Optional[TraceContext],
     name: str,
     status: str = "ok",
-    seconds: Optional[float] = None,
+    *,
+    seconds: float,
     **attrs,
 ) -> None:
-    """Emit the matching ``span_close`` (no-op when either is None)."""
+    """Emit the matching ``span_close``, which carries the span's
+    measured *seconds* (no-op when *observer* or *context* is None)."""
     if observer is None or context is None:
         return
-    if seconds is not None:
-        attrs["seconds"] = seconds
-    observer.span_close(name=name, status=status, **context.to_obj(), **attrs)
+    observer.emit(
+        "span_close",
+        name=name,
+        status=status,
+        **context.to_obj(),
+        **attrs,
+        seconds=seconds,
+    )
 
 
 @contextmanager
@@ -212,7 +219,7 @@ def span(
         base = parent if parent is not None else _CURRENT.get()
         context = base.child() if base is not None else TraceContext.new_root()
     started = time.perf_counter()
-    obs.span_open(name=name, **context.to_obj(), **attrs)
+    obs.emit("span_open", name=name, **context.to_obj(), **attrs)
     token = _CURRENT.set(context)
     status = "ok"
     try:
@@ -222,7 +229,8 @@ def span(
         raise
     finally:
         _CURRENT.reset(token)
-        obs.span_close(
+        obs.emit(
+            "span_close",
             name=name,
             status=status,
             seconds=round(time.perf_counter() - started, 6),

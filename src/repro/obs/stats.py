@@ -16,10 +16,38 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..util.reporting import Table
+from .observer import EVENT_KINDS, schema_errors
 from .spans import latency_summary, percentile as _percentile, trace_ids
-from .tracer import EVENT_KINDS
 
-__all__ = ["summarize_trace", "retraction_series", "render_summary"]
+__all__ = [
+    "drop_malformed",
+    "summarize_trace",
+    "retraction_series",
+    "render_summary",
+]
+
+#: The kinds :func:`summarize_trace` reads fields from; the others are
+#: only counted.
+AGGREGATED_KINDS = (
+    "chase_step_finished", "core_retraction", "core_maintenance",
+    "homomorphism_search", "treewidth_search", "robust_step",
+    "planner_decision", "query_rewrite", "service_request", "service_job",
+    "service_retry", "service_pool_rebuild", "snapshot_access",
+)
+
+
+def drop_malformed(events: Iterable[dict]) -> tuple[list[dict], int]:
+    """Drop the events :func:`summarize_trace` cannot aggregate: those of
+    an aggregated kind that lack one of the kind's required fields
+    (:func:`~repro.obs.observer.schema_errors`).  Returns ``(kept,
+    dropped)``."""
+    events = list(events)
+    kept = [
+        event
+        for event in events
+        if event.get("kind") not in AGGREGATED_KINDS or not schema_errors(event)
+    ]
+    return kept, len(events) - len(kept)
 
 
 def retraction_series(events: Iterable[dict]) -> list[dict]:
@@ -48,6 +76,9 @@ def retraction_series(events: Iterable[dict]) -> list[dict]:
 
 def summarize_trace(events: Iterable[dict]) -> dict:
     """Aggregate a trace into a plain-dict summary.
+
+    *events* must hold every field the aggregated kinds require; pass a
+    trace read from outside through :func:`drop_malformed` first.
 
     Returns a dict with ``counts`` (events per kind), ``traces``
     (distinct trace ids seen), ``chase`` (step totals plus the per-step

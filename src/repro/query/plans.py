@@ -228,7 +228,8 @@ class QueryPlanCache:
         if observer is None:
             observer = _observer_state.current
         if observer is not None:
-            observer.query_rewrite(
+            observer.emit(
+                "query_rewrite",
                 source=source,
                 fragment=plan.fragment or "",
                 complete=plan.complete,

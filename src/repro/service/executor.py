@@ -61,9 +61,8 @@ the server's event-loop threads never arise).
 The parent also keeps the ``service.queue_depth`` gauge current
 (submitted-but-unfinished jobs), counts ``service.retries`` /
 ``service.pool_rebuilds``, and reports completions through the
-:meth:`~repro.obs.Observer.service_job` telemetry event (retries and
-rebuilds through :meth:`~repro.obs.Observer.service_retry` /
-:meth:`~repro.obs.Observer.service_pool_rebuild`), with wall-clock
+``service_job`` telemetry event (retries and rebuilds through
+``service_retry`` / ``service_pool_rebuild``), with wall-clock
 latency measured from first submission (queueing and retries included).
 """
 
@@ -597,7 +596,8 @@ class JobExecutor:
             if observer is not None:
                 try:
                     with activate(backoff_context):
-                        observer.service_retry(
+                        observer.emit(
+                            "service_retry",
                             op=job.request.op,
                             attempt=attempt,
                             delay=delay,
@@ -668,7 +668,7 @@ class JobExecutor:
         if observer is not None:
             try:
                 with activate(rebuild_context):
-                    observer.service_pool_rebuild(pending=pending)
+                    observer.emit("service_pool_rebuild", pending=pending)
             except Exception:  # noqa: BLE001 - observers must not break supervision
                 pass
         self._span_close(rebuild_context, "pool_rebuild", started)
@@ -696,7 +696,8 @@ class JobExecutor:
         if observer is not None:
             try:
                 with activate(job.context):
-                    observer.service_job(
+                    observer.emit(
+                        "service_job",
                         op=job.request.op,
                         ok=result.ok,
                         warm=result.warm,

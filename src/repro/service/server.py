@@ -355,7 +355,7 @@ class EntailmentServer:
                     attrs["job_span_id"] = job_context.span_id
             open_span(observer, request_context, "service_request", **attrs)
             with activate(request_context):
-                observer.service_request(op=request.op, coalesced=coalesced)
+                observer.emit("service_request", op=request.op, coalesced=coalesced)
         if not coalesced:
             job_context = None
             if request_context is not None:

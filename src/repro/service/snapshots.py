@@ -792,7 +792,7 @@ class SnapshotStore:
             self._unlink_blobs(dead)
             evicted += 1
             if observer is not None:
-                observer.snapshot_access(op="evict", hit=False)
+                observer.emit("snapshot_access", op="evict", hit=False)
 
     # -- save ----------------------------------------------------------
 
@@ -913,7 +913,8 @@ class SnapshotStore:
         self._evict_lru(protect_key=key)
         observer = _observer_state.current
         if observer is not None:
-            observer.snapshot_access(
+            observer.emit(
+                "snapshot_access",
                 op="save",
                 hit=True,
                 atoms=len(state.instance),
@@ -973,7 +974,8 @@ class SnapshotStore:
                 conn.execute("COMMIT")
         observer = _observer_state.current
         if observer is not None:
-            observer.snapshot_access(
+            observer.emit(
+                "snapshot_access",
                 op="load",
                 hit=entry is not None,
                 corrupt=corrupt,
@@ -1144,7 +1146,8 @@ class SnapshotStore:
             except _ChainBroken:
                 self._drop_entry(key)
                 if observer is not None:
-                    observer.snapshot_access(
+                    observer.emit(
+                        "snapshot_access",
                         op="load",
                         hit=False,
                         corrupt=True,
@@ -1167,7 +1170,8 @@ class SnapshotStore:
                 )
                 conn.execute("COMMIT")
             if observer is not None:
-                observer.snapshot_access(
+                observer.emit(
+                    "snapshot_access",
                     op="resolve",
                     hit=True,
                     atoms=len(state.instance),
@@ -1185,7 +1189,8 @@ class SnapshotStore:
                 ancestor=True,
             )
         if observer is not None:
-            observer.snapshot_access(
+            observer.emit(
+                "snapshot_access",
                 op="resolve",
                 hit=False,
                 seconds=time.perf_counter() - started,

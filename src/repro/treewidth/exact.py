@@ -86,8 +86,8 @@ def has_width_at_most(
         verdict = _search(graph.copy(), k, failed, budget)
     except SearchBudgetExceeded as exc:
         if observer is not None:
-            observer.treewidth_search(
-                k=k, verdict=None, budget_consumed=state_budget
+            observer.emit(
+                "treewidth_search", k=k, verdict=None, budget_consumed=state_budget
             )
         raise SearchBudgetExceeded(
             f"exact treewidth search exhausted its state budget "
@@ -96,8 +96,11 @@ def has_width_at_most(
             consumed=state_budget,
         ) from exc
     if observer is not None:
-        observer.treewidth_search(
-            k=k, verdict=verdict, budget_consumed=state_budget - budget[0]
+        observer.emit(
+            "treewidth_search",
+            k=k,
+            verdict=verdict,
+            budget_consumed=state_budget - budget[0],
         )
     return verdict
 

@@ -276,6 +276,24 @@ class TestStatsCommand:
         assert summary["core"]["calls"] == summary["chase"]["steps"] + 1
         assert summary["chase"]["series"], "per-step series must be present"
 
+    def test_event_missing_a_field_is_skipped_not_fatal(self, tmp_path, capsys):
+        path = tmp_path / "short.jsonl"
+        full = {
+            "seq": 1, "t": 0, "kind": "chase_step_finished", "step": 2,
+            "rule": "R", "atoms_before": 3, "atoms_applied": 4,
+            "atoms_after": 4, "retracted": 0,
+        }
+        path.write_text(
+            '{"seq":0,"t":0,"kind":"chase_step_finished","step":1,"rule":"R"}\n'
+            + json.dumps(full) + "\n"
+        )
+        code = main(["stats", str(path), "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("# stats: skipped 1 malformed line(s)")
+        summary = json.loads(out.split("\n", 1)[1])
+        assert [row["step"] for row in summary["chase"]["series"]] == [2]
+
     def test_core_maintenance_aggregated(self, trace_file, capsys):
         """``repro stats`` folds the maintainer's per-call telemetry into
         skip-hit ratio and candidates-per-step aggregates."""

@@ -304,15 +304,22 @@ class TestRestoreBuildsIndexOnFirstStep:
 
     @staticmethod
     def _compile_events(action):
+        """The ``compile`` events *action* emits.  A cold run through the
+        same observer afterwards must emit some, so an empty list means
+        *action* compiled nothing, not that the observer heard nothing."""
         events = []
 
         class Spy(Observer):
-            def compile(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "compile":
+                    events.append(fields)
 
         with observing(Spy()):
             action()
-        return events
+            seen = list(events)
+            ChaseEngine(staircase_kb(), variant=ChaseVariant.CORE).run(1)
+        assert len(events) > len(seen), "the observer missed a cold compile"
+        return seen
 
     def test_restore_alone_builds_nothing(self):
         kb = staircase_kb()

@@ -26,7 +26,6 @@ from repro.logic.homomorphism import find_homomorphism
 from repro.logic.parser import parse_atoms
 from repro.logic.atomset import AtomSet
 from repro.obs import (
-    CompositeObserver,
     JsonlTracer,
     MetricsObserver,
     MetricsRegistry,
@@ -154,14 +153,6 @@ class TestObserverPlumbing:
             assert set_observer(second) is first
         finally:
             set_observer(None)
-
-    def test_composite_fans_out(self):
-        regs = [MetricsRegistry(), MetricsRegistry()]
-        composite = CompositeObserver([MetricsObserver(r) for r in regs])
-        with observing(composite):
-            run_chase(transitive_closure_kb(3), max_steps=20)
-        for reg in regs:
-            assert reg.snapshot()["chase.steps"]["value"] > 0
 
     def test_engine_accepts_explicit_observer(self):
         reg = MetricsRegistry()

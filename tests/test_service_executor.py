@@ -87,8 +87,9 @@ class TestInProcessExecutor:
         events = []
 
         class Spy(Observer):
-            def service_job(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "service_job":
+                    events.append(fields)
 
         with observing(Spy()):
             with JobExecutor(0, snapshot_dir=tmp_path) as ex:
@@ -257,8 +258,9 @@ class TestSupervision:
         events = []
 
         class Spy(Observer):
-            def service_retry(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "service_retry":
+                    events.append(fields)
 
         with observing(Spy()):
             with JobExecutor(
@@ -278,8 +280,9 @@ class TestSupervision:
         # completion callback used to leave the outer future pending
         # forever (the client's await never returned).
         class Hostile(Observer):
-            def service_job(self, **kw):
-                raise RuntimeError("observer exploded")
+            def emit(self, kind, **fields):
+                if kind == "service_job":
+                    raise RuntimeError("observer exploded")
 
         with observing(Hostile()):
             with JobExecutor(0, snapshot_dir=tmp_path) as ex:

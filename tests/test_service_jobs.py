@@ -233,14 +233,20 @@ class TestWarmStart:
         compiles = []
 
         class Spy(Observer):
-            def compile(self, **kw):
-                compiles.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "compile":
+                    compiles.append(fields)
 
-        warm = execute_job(req, store, observer=Spy())
-        with observing(Spy()):
+        spy = Spy()
+        warm = execute_job(req, store, observer=spy)
+        with observing(spy):
             again = execute_job(req, store)
         assert warm.method == again.method == "warm-snapshot-hit"
         assert compiles == []
+        # Positive control: the same observer hears a cold run compile.
+        with observing(spy):
+            execute_job(req)
+        assert compiles
 
     def test_warm_chase_extends_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -180,11 +180,11 @@ class TestProtocol:
 
 
 class _PoisonOnChase(Observer):
-    """Raises from the service_request hook for chase ops only — a real
+    """Raises from the service_request event for chase ops only — a real
     in-tree path by which an exception can escape ``_answer``."""
 
-    def service_request(self, *, op, coalesced):
-        if op == "chase":
+    def emit(self, kind, **fields):
+        if kind == "service_request" and fields["op"] == "chase":
             raise RuntimeError("poisoned observer")
 
 

@@ -191,8 +191,9 @@ class TestAdversarialCorruption:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "snapshot_access":
+                    events.append(fields)
 
         kb = staircase_kb()
         engine = ChaseEngine(kb, variant="restricted")
@@ -256,8 +257,9 @@ class TestStoreHygiene:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "snapshot_access":
+                    events.append(fields)
 
         store = SnapshotStore(tmp_path, max_entries=1)
         with observing(Spy()):

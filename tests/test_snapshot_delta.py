@@ -198,8 +198,9 @@ class TestDeltaChains:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **fields):
+                if kind == "snapshot_access":
+                    events.append(fields)
 
         kb = staircase_kb()
         store = SnapshotStore(tmp_path)

@@ -119,7 +119,7 @@ class TestSpan:
         buffer = io.StringIO()
         observer = tracing_observer(buffer)
         with span("outer", observer=observer, op="entail") as outer:
-            observer.service_request(op="entail", coalesced=False)
+            observer.emit("service_request", op="entail", coalesced=False)
             with span("inner", observer=observer) as inner:
                 pass
         events = events_of(buffer)
@@ -163,11 +163,11 @@ class TestSpan:
     def test_open_close_span_helpers_tolerate_none(self):
         context = TraceContext.new_root()
         open_span(None, context, "x")
-        close_span(None, context, "x")
+        close_span(None, context, "x", seconds=0.0)
         buffer = io.StringIO()
         observer = tracing_observer(buffer)
         open_span(observer, None, "x")
-        close_span(observer, None, "x")
+        close_span(observer, None, "x", seconds=0.0)
         assert buffer.getvalue() == ""
         open_span(observer, context, "x", op="chase")
         close_span(observer, context, "x", status="aborted", seconds=1.5)
@@ -198,7 +198,7 @@ class TestTraceReconstruction:
         buffer = io.StringIO()
         observer = tracing_observer(buffer)
         with span("root", observer=observer) as root:
-            observer.service_request(op="entail", coalesced=False)
+            observer.emit("service_request", op="entail", coalesced=False)
             with span("leaf", observer=observer, attempt=1):
                 pass
         events = events_of(buffer)
