@@ -8,13 +8,12 @@ pay almost nothing — the classical trade-off from the introduction.
 ``bench_perf_chase_table`` additionally archives a machine-readable
 timing table (``results/perf_chase.json``) that the CI perf gate diffs
 against the committed baseline (``baselines/perf_chase.json``) with
-``compare_results.py``.  ``REPRO_ENGINE=naive|indexed|compiled``
-selects the engine path to time (default: compiled, the full engine;
-the legacy ``REPRO_NAIVE=1`` still means naive) and suffixes the
-results files accordingly — the committed ``perf_chase.json`` baseline
-is a naive-path table, ``perf_chase_indexed.json`` /
-``perf_chase_compiled.json`` the per-engine ones the compiled CI gate
-uses; see docs/PERFORMANCE.md.
+``compare_results.py``.  ``REPRO_ENGINE=naive|compiled`` selects the
+engine path to time (default: compiled, the full engine; the legacy
+``REPRO_NAIVE=1`` still means naive) and suffixes the results files
+accordingly — the committed ``perf_chase.json`` baseline is a
+naive-path table, ``perf_chase_compiled.json`` the per-engine one the
+compiled CI gate's drift check uses; see docs/PERFORMANCE.md.
 """
 
 import time
@@ -72,7 +71,7 @@ def bench_staircase_core_chase_short(benchmark):
 
 #: (workload, kb factory, variant, step budget) — the gate's row set.
 #: The staircase/elevator core rows are the paper's deep-retraction
-#: workloads and the ones the indexed engine must keep fast.
+#: workloads and the ones the compiled engine must keep fast.
 PERF_CHASE_ROWS = (
     ("staircase", staircase_kb, ChaseVariant.CORE, 45),
     ("staircase", staircase_kb, ChaseVariant.RESTRICTED, 45),

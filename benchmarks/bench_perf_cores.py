@@ -11,7 +11,7 @@ run's exactness counts (applications, retractions, atoms out) as
 integer identity fields, so the incremental core maintainer can only
 pass the gate by being *fast and bit-identical in behaviour*: a count
 drift surfaces as semantic drift in ``compare_results.py``, not as a
-timing change.  ``REPRO_ENGINE=naive|indexed|compiled`` selects the
+timing change.  ``REPRO_ENGINE=naive|compiled`` selects the
 engine path to time (default: compiled; the legacy ``REPRO_NAIVE=1``
 still selects naive, the committed baseline's path); see
 docs/PERFORMANCE.md.

@@ -7,7 +7,7 @@ and the all-solutions iterator.
 
 ``bench_perf_homomorphism_table`` additionally archives a
 machine-readable timing table (``results/perf_homomorphism.json``) for
-the CI perf gate; ``REPRO_ENGINE=naive|indexed|compiled`` selects the
+the CI perf gate; ``REPRO_ENGINE=naive|compiled`` selects the
 search path to time (default: compiled; ``REPRO_NAIVE=1`` is a legacy
 alias for naive, the committed baseline's path) — see
 docs/PERFORMANCE.md.

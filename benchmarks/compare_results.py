@@ -29,12 +29,12 @@ baseline's time).  The two compose: with both set, a row passes only
 if it clears the floor *and* stays under the ceiling; either replaces
 the default ``--threshold`` regression check.  The compiled CI gate
 uses the floor to hold the compiled kernel to a same-machine speedup
-over the indexed engine::
+over the naive engine::
 
     python benchmarks/compare_results.py perf_chase_compiled \
-        --baselines benchmarks/results --baseline-name perf_chase_indexed \
-        --min-speedup 1.5 --ignore-fields engine \
-        --only-rows 'staircase core,elevator core'
+        --baselines benchmarks/results --baseline-name perf_chase_naive \
+        --min-speedup 11.3 --ignore-fields engine \
+        --only-rows 'staircase core'
 
 ``--baseline-name`` compares one results table against a differently
 named reference table (above: two tables freshly measured in the same
@@ -43,11 +43,13 @@ from row identity — here ``engine``, which otherwise (by design) keeps
 cross-engine rows from ever matching; ``--only-rows`` restricts the
 gate to rows whose label contains one of the given substrings (the
 headline deep-search workloads — the tiny rows sit at the timer noise
-floor and the copy-dominated restricted rows at engine parity, neither
-of which a speedup floor should gate).  Every integer count field still
-participates in identity, so the floor mode *also* enforces semantic
-agreement: a compiled row whose application count drifted from the
-indexed row fails as semantic drift, not as a timing miss.
+floor and the restricted rows mostly time instance copying, neither of
+which a speedup floor should gate).  A substring that matches no row
+of the table fails the table, so a misspelt row name cannot turn a gate
+into a no-op.  Every integer count field still participates in
+identity, so the floor mode *also* enforces semantic agreement: a
+compiled row whose application count drifted from the naive row fails
+as semantic drift, not as a timing miss.
 
 Regenerating a table after an intentional change::
 
@@ -59,8 +61,8 @@ Regenerating a table after an intentional change::
 baselines are naive-path timings — ``REPRO_NAIVE=1`` — so the default
 gate also documents the full engine's speedup: the printed ratios are
 the fraction of the naive time each row now takes.  The committed
-``*_indexed``/``*_compiled`` baselines are per-engine tables produced
-with ``REPRO_ENGINE=indexed``/``compiled``.)
+``*_compiled`` baselines are per-engine tables produced with
+``REPRO_ENGINE=compiled``.)
 """
 
 from __future__ import annotations
@@ -291,6 +293,7 @@ def main(argv=None) -> int:
         else:
             mode = f"threshold: {args.threshold:g}x"
         print(f"== {name} (metric: {args.metric}, {mode}) ==")
+        unmatched = set(only_rows)
         for key, base_value, cur_value, ratio, ok, drift in compare_table(
             name,
             baseline,
@@ -302,8 +305,11 @@ def main(argv=None) -> int:
             ignore=ignore,
         ):
             label = describe(key)
-            if only_rows and not any(part in label for part in only_rows):
-                continue
+            if only_rows:
+                matching = {part for part in only_rows if part in label}
+                if not matching:
+                    continue
+                unmatched -= matching
             if cur_value is None:
                 if drift:
                     moved = ", ".join(
@@ -348,6 +354,9 @@ def main(argv=None) -> int:
                     print(
                         f"  ok   {label}: {base_value:g} -> {cur_value:g} ({ratio:.2f}x)"
                     )
+        for part in sorted(unmatched):
+            print(f"  FAIL --only-rows {part!r} matches no row of {name}")
+            failures += 1
     if failures:
         if args.min_speedup is not None or args.max_ratio is not None:
             print(

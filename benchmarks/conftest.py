@@ -39,17 +39,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Version of the results-JSON layout (bump when the shape changes).
 RESULTS_SCHEMA = 1
 
-#: The engine paths a bench can measure (ISSUE 7): ``compiled`` is the
-#: interned join-plan kernel (the default), ``indexed`` the object-level
-#: engine it replaced (atom index + trigger index, compiled layer scoped
-#: off), ``naive`` the from-scratch reference (everything off).
-ENGINES = ("naive", "indexed", "compiled")
+#: The engine paths a bench can measure: ``compiled`` is the interned
+#: join-plan kernel (the default), ``naive`` the from-scratch reference
+#: (everything inside ``indexing.no_index()``).
+ENGINES = ("naive", "compiled")
 
 
 def current_engine() -> str:
     """The engine path this bench process measures.
 
-    ``REPRO_ENGINE=naive|indexed|compiled`` selects explicitly (and
+    ``REPRO_ENGINE=naive|compiled`` selects explicitly (and
     suffixes the archived results files — see :func:`save_table` — so
     per-engine tables don't overwrite each other); the legacy
     ``REPRO_NAIVE=1`` is kept as an alias for ``naive``; default is the
@@ -68,13 +67,11 @@ def current_engine() -> str:
 
 
 def engine_scope(engine: str | None = None):
-    """A context manager scoping the indexing switchboard to *engine*
+    """A context manager scoping the indexing switch to *engine*
     (default: :func:`current_engine`) for the duration of a bench."""
     engine = engine or current_engine()
     if engine == "naive":
         return indexing.no_index()
-    if engine == "indexed":
-        return indexing.configured(compiled=False)
     return nullcontext()
 
 
@@ -137,7 +134,7 @@ def save_table(name: str, table: Table, extra: str = "") -> None:
     benchmarks/results/ (atomically; see :func:`_atomic_write_text`).
 
     Every row of the JSON twin records the engine path it was measured
-    on (``"engine": "naive" | "indexed" | "compiled"``) so a results
+    on (``"engine": "naive" | "compiled"``) so a results
     table is self-describing — the perf gate matches rows on it, and a
     stale cross-engine comparison fails loudly instead of silently
     passing.  When ``REPRO_ENGINE`` selects an engine explicitly the

@@ -1,15 +1,12 @@
 """The compiled trigger index: semi-naive delta joins in int space.
 
-:class:`CompiledTriggerIndex` is the compiled kernel's drop-in
-replacement for :class:`~repro.chase.trigger_index.TriggerIndex`.  The
-object index already maintains the live-trigger pool incrementally
-(growth deltas + retraction transports — see its module docstring); what
-it still pays per step is the *discovery join*: for every rule whose
-body predicates meet the delta's, unify each body atom with each delta
-atom at the object level, build a pinned :class:`Substitution`, and run
-the homomorphism search from it.
-
-This subclass compiles that join once per rule:
+:class:`CompiledTriggerIndex` is the trigger index the chase engine
+builds.  Its base, :class:`~repro.chase.trigger_index.TriggerIndex`,
+keeps the live-trigger pool (growth absorption and retraction
+transports — see its module docstring); this subclass supplies the one
+step the base leaves open, the *discovery join* of a growth step: which
+triggers send some body atom onto a delta atom.  It compiles that join
+once per rule:
 
 * at construction every rule body is compiled to a join plan over the
   interned relations (:func:`repro.logic.compiled.plans.source_plan` —
@@ -22,14 +19,10 @@ This subclass compiles that join once per rule:
   homomorphisms on the raw int assignment — one ``join_plan`` event per
   absorbed delta summarises the round.
 
-The discovery replays the object index's loops exactly — body atoms in
-sorted order, delta atoms in arrival order, the evaluator's canonical
-witness order — so the pool is populated in the **same order with the
-same keys** as the object index would produce: the engine's fair
-scheduler cannot tell the difference.  When the compiled layer is
-scoped off mid-run (:func:`repro.logic.indexing.no_compiled`), every
-maintenance call bails back to the inherited object path — same
-answers, object speed.
+The discovery runs its loops in a fixed order — body atoms in sorted
+order, delta atoms in arrival order, the evaluator's canonical witness
+order — so the pool is populated in the same order on every run, and
+the engine's fair scheduler makes the same choices.
 
 Retractions need no compiled counterpart: the inherited
 :meth:`~repro.chase.trigger_index.TriggerIndex.transport` carries
@@ -43,7 +36,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from ..logic import indexing as _indexing
 from ..logic.atoms import Atom
 from ..logic.atomset import AtomSet
 from ..logic.compiled import compiled_view, symbol_table
@@ -61,7 +53,7 @@ class CompiledTriggerIndex(TriggerIndex):
     """A :class:`TriggerIndex` whose delta re-matching runs as compiled
     join plans over the instance's interned relations."""
 
-    __slots__ = ("_plans", "_plans_generation")
+    __slots__ = ("_plans", "_plans_generation", "_plans_run")
 
     def __init__(
         self,
@@ -71,6 +63,8 @@ class CompiledTriggerIndex(TriggerIndex):
     ):
         self._plans: dict = {}
         self._plans_generation: Optional[int] = None
+        #: Plans run by the current apply_delta (its join_plan event).
+        self._plans_run = 0
         super().__init__(rules, instance, track_satisfaction=track_satisfaction)
         self._compile_plans()
 
@@ -109,88 +103,52 @@ class CompiledTriggerIndex(TriggerIndex):
         delta: list[Atom],
         satisfied_hint: Optional[Trigger] = None,
     ) -> dict:
-        """Absorb a growth step through the compiled join plans.
-
-        Semantics (pool contents, key order, satisfaction marks) are
-        identical to the inherited object version; only the discovery
-        join runs in int space.  Bails to the object path when the
-        compiled layer is scoped off.
-        """
-        if not (_indexing.compiled_enabled() and _indexing.atom_index_enabled()):
-            return super().apply_delta(
-                instance, delta, satisfied_hint=satisfied_hint
-            )
-        self._compile_plans()
-        table = symbol_table()
-        encode_atom = table.encode_atom
-        view = compiled_view(instance)
-        delta_rows = [encode_atom(at) for at in delta]
-        delta_preds = {enc[1] for enc in delta_rows}
-
-        before = len(self._live)
-        new_keys: set = set()
-        plan_runs = 0
-        if delta_preds:
-            for rule in self.rules:
-                encoded, var_codes = self._plans[rule.name]
-                if not any(entry[0] in delta_preds for entry in encoded):
-                    continue
-                plan_runs += 1
-                for trigger in self._delta_triggers(
-                    rule, encoded, var_codes, view, delta_rows
-                ):
-                    key = self.key(trigger)
-                    if key not in self._live:
-                        self._live[key] = trigger
-                        new_keys.add(key)
-        rechecks = 0
-        if self.track_satisfaction:
-            if satisfied_hint is not None:
-                self._satisfied.add(self.key(satisfied_hint))
-            delta_pred_objs = {at.predicate for at in delta}
-            for key, trigger in self._live.items():
-                if key in self._satisfied:
-                    continue
-                fresh = key in new_keys
-                if not fresh and not (
-                    self._head_preds[key[0]] & delta_pred_objs
-                ):
-                    continue
-                rechecks += 1
-                if trigger.is_satisfied_in(instance):
-                    self._satisfied.add(key)
-
+        """Absorb a growth step (see :meth:`TriggerIndex.apply_delta`),
+        discovering the new triggers through the compiled join plans,
+        and emit the round's ``join_plan`` event."""
+        self._plans_run = 0
+        stats = super().apply_delta(
+            instance, delta, satisfied_hint=satisfied_hint
+        )
         observer = _observer_state.current
         if observer is not None:
             observer.emit(
                 "join_plan",
                 delta_atoms=len(delta),
-                plans_run=plan_runs,
-                triggers_new=len(new_keys),
-                tuples=view.tuples,
+                plans_run=self._plans_run,
+                triggers_new=stats["triggers_new"],
+                tuples=compiled_view(instance).tuples,
             )
-        return {
-            "delta_atoms": len(delta),
-            "triggers_new": len(new_keys),
-            "triggers_reused": before,
-            "satisfaction_rechecks": rechecks,
-        }
+        return stats
 
     def _delta_triggers(
+        self, instance: AtomSet, delta: list[Atom]
+    ) -> Iterator[Trigger]:
+        """Run the body plan of every rule whose body predicates meet
+        the delta's, from each pin of a body atom onto a delta row."""
+        self._compile_plans()
+        encode_atom = symbol_table().encode_atom
+        view = compiled_view(instance)
+        delta_rows = [encode_atom(at) for at in delta]
+        delta_preds = {enc[1] for enc in delta_rows}
+        for rule in self.rules:
+            encoded, _var_codes = self._plans[rule.name]
+            if not any(entry[0] in delta_preds for entry in encoded):
+                continue
+            self._plans_run += 1
+            yield from self._pinned_triggers(rule, encoded, view, delta_rows)
+
+    def _pinned_triggers(
         self,
         rule: ExistentialRule,
         encoded: list[tuple],
-        var_codes: frozenset,
         view,
         delta_rows: list[tuple],
     ) -> Iterator[Trigger]:
-        """The compiled twin of
-        :func:`repro.chase.trigger.triggers_from_delta`: pin each body
-        atom onto each compatible delta row in turn, run the body plan
-        from the pinned seed, dedup on the int assignment.  Loop order
-        (sorted body atoms outer, delta arrival order inner) and the
-        evaluator's witness order match the object code, so triggers
-        are yielded in the identical sequence."""
+        """The triggers of *rule* touching the delta: pin each body atom
+        onto each compatible delta row in turn (sorted body atoms outer,
+        delta arrival order inner), run the body plan from the pinned
+        seed, dedup on the int assignment."""
         relations = view.relations
         for entry in encoded:
             rel = relations.get(entry[0])
@@ -205,8 +163,9 @@ class CompiledTriggerIndex(TriggerIndex):
                 if enc[1] != pred_code:
                     continue
                 row = enc[2]
-                # Int unification of the body atom onto the delta row —
-                # the compiled _unify_body_atom.
+                # Int unification of the body atom onto the delta row: a
+                # repeated variable must meet one value, a constant
+                # must match.
                 pinned: Optional[dict] = {}
                 for code, tgt in zip(args, row):
                     if is_var[code]:

@@ -74,7 +74,6 @@ from ..obs.observer import Observer
 from .derivation import Derivation, DerivationStep
 from .trigger import Trigger, apply_trigger, triggers
 from .compiled_index import CompiledTriggerIndex
-from .trigger_index import TriggerIndex
 
 __all__ = [
     "ChaseVariant",
@@ -372,27 +371,18 @@ class ChaseEngine:
         instrumentation.  When no observer is installed the engine pays
         a single identity check per event site.
     use_index:
-        When True (the default) the engine maintains the live-trigger
-        pool incrementally with a :class:`~repro.chase.trigger_index.
-        TriggerIndex`, lets the homomorphism layer use its positional
-        atom index, and — for the core variant, unless
-        :func:`repro.logic.indexing.set_core_maintenance` switched it
-        off — computes per-step retractions with the incremental
+        When True (the default) the engine runs on the compiled kernel:
+        it maintains the live-trigger pool incrementally with a
+        :class:`~repro.chase.compiled_index.CompiledTriggerIndex`
+        (semi-naive delta joins over interned int tuples), homomorphism
+        searches evaluate as compiled join plans, and the core variant
+        computes per-step retractions with the incremental
         :class:`~repro.logic.coremaint.CoreMaintainer`.  When False the
-        engine re-enumerates every trigger from scratch each step
-        **and** scopes off the atom index and the core maintainer for
-        the duration of the run — the fully naive reference path the
-        differential tests compare against.
-    use_compiled:
-        When True (the default) and the index is on, the engine runs the
-        compiled kernel (ISSUE 7): homomorphism searches evaluate as
-        join plans over interned int tuples and the trigger pool is
-        maintained by a :class:`~repro.chase.compiled_index.
-        CompiledTriggerIndex` with semi-naive delta joins.  When False
-        the compiled layer is scoped off for the duration of the run and
-        the object-level indexed engine — the kernel's differential
-        oracle, with identical witnesses and application counts — runs
-        instead.  (``--no-compiled`` on the CLI.)
+        run executes inside :func:`repro.logic.indexing.no_index`: the
+        engine re-enumerates every trigger from scratch each step, the
+        searches use the naive pools and every core is recomputed from
+        scratch — the reference path the differential tests compare
+        against.  An ambient ``no_index()`` scope has the same effect.
     """
 
     def __init__(
@@ -403,7 +393,6 @@ class ChaseEngine:
         fresh_prefix: str = "_n",
         observer: Optional[Observer] = None,
         use_index: bool = True,
-        use_compiled: bool = True,
     ):
         if variant not in ChaseVariant.ALL:
             raise ValueError(f"unknown chase variant {variant!r}")
@@ -414,7 +403,6 @@ class ChaseEngine:
         self.core_every = core_every
         self.observer = observer
         self.use_index = use_index
-        self.use_compiled = use_compiled
         self._fresh = FreshVariableSource(prefix=fresh_prefix)
 
     # ------------------------------------------------------------------
@@ -559,33 +547,17 @@ class ChaseEngine:
             self._index = None
 
     def _make_maintainer(self) -> Optional[CoreMaintainer]:
-        # The incremental maintainer needs the per-step delta, which
-        # only the indexed engine computes; the naive path keeps the
-        # from-scratch core_retraction (the differential reference).
-        if (
-            self.variant == ChaseVariant.CORE
-            and self.use_index
-            and _indexing.core_maintenance_enabled()
-        ):
+        # Inside _index_scope() the switch is off exactly when this run
+        # is naive (use_index=False, or an ambient no_index() scope);
+        # the naive path keeps the from-scratch core_retraction, the
+        # differential reference.
+        if self.variant == ChaseVariant.CORE and _indexing.atom_index_enabled():
             return CoreMaintainer()
         return None
 
     def _install_index(self, current: AtomSet) -> None:
-        if self.use_index:
-            # The compiled index engages only when the compiled layer is
-            # actually on in the ambient configuration (it may be scoped
-            # off by ``no_compiled()`` or ``use_compiled=False``); its
-            # pool contents and ordering are identical either way.
-            cls = (
-                CompiledTriggerIndex
-                if (
-                    self.use_compiled
-                    and _indexing.compiled_enabled()
-                    and _indexing.atom_index_enabled()
-                )
-                else TriggerIndex
-            )
-            self._index: Optional[TriggerIndex] = cls(
+        if _indexing.atom_index_enabled():
+            self._index: Optional[CompiledTriggerIndex] = CompiledTriggerIndex(
                 self.kb.rules,
                 current,
                 track_satisfaction=self.variant
@@ -596,13 +568,9 @@ class ChaseEngine:
 
     def _index_scope(self):
         """The indexing configuration a run executes under: the ambient
-        one normally, the compiled layer scoped off for
-        ``use_compiled=False``, everything scoped off for the naive
-        path."""
+        one normally, everything scoped off for the naive path."""
         if not self.use_index:
             return _indexing.no_index()
-        if not self.use_compiled:
-            return _indexing.configured(compiled=False)
         return nullcontext()
 
     def _advance(
@@ -852,7 +820,6 @@ def run_chase(
     on_step: Optional[Callable[[DerivationStep], None]] = None,
     observer: Optional[Observer] = None,
     use_index: bool = True,
-    use_compiled: bool = True,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> ChaseResult:
     """One-shot convenience wrapper around :class:`ChaseEngine`."""
@@ -862,7 +829,6 @@ def run_chase(
         core_every=core_every,
         observer=observer,
         use_index=use_index,
-        use_compiled=use_compiled,
     )
     return engine.run(
         max_steps=max_steps, on_step=on_step, should_stop=should_stop

@@ -17,9 +17,8 @@ Activity notions per chase variant (Section 3) are also defined here:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
-from ..logic.atoms import Atom
 from ..logic.atomset import AtomSet
 from ..logic.homomorphism import find_homomorphism, homomorphisms
 from ..logic.rules import ExistentialRule
@@ -29,7 +28,6 @@ from ..logic.terms import FreshVariableSource, Term, Variable
 __all__ = [
     "Trigger",
     "triggers",
-    "triggers_from_delta",
     "unsatisfied_triggers",
     "apply_trigger",
 ]
@@ -137,57 +135,6 @@ def triggers(rule: ExistentialRule, instance: AtomSet) -> Iterator[Trigger]:
     ]
     found.sort(key=Trigger.sort_key)
     return iter(found)
-
-
-def _unify_body_atom(body_atom, delta_atom) -> Optional[Substitution]:
-    """The unique substitution of the body atom's variables sending it
-    onto *delta_atom*, or None if the two cannot match (predicate or
-    constant clash, or a repeated variable forced onto two images)."""
-    if body_atom.predicate != delta_atom.predicate:
-        return None
-    bindings: dict[Variable, Term] = {}
-    for src_term, tgt_term in zip(body_atom.args, delta_atom.args):
-        if isinstance(src_term, Variable):
-            bound = bindings.get(src_term)
-            if bound is None:
-                bindings[src_term] = tgt_term
-            elif bound != tgt_term:
-                return None
-        elif src_term != tgt_term:
-            return None
-    return Substitution(bindings)
-
-
-def triggers_from_delta(
-    rule: ExistentialRule,
-    instance: AtomSet,
-    delta: Iterable[Atom],
-) -> Iterator[Trigger]:
-    """The triggers of *rule* on *instance* whose body image uses at
-    least one atom of *delta* — the semi-naive re-matching step.
-
-    Every atom of *delta* must already be in *instance*, and *delta*
-    must consist of atoms that were **absent** before this step: then a
-    homomorphism of the body either avoids *delta* entirely (an old
-    trigger, untouched by the index) or sends some body atom onto a
-    delta atom — and the search below, which pins each body atom to each
-    compatible delta atom in turn, finds it.  Duplicates (one
-    homomorphism touching several delta atoms) are collapsed on the
-    mapping.
-    """
-    delta_atoms = list(delta)
-    seen: set[Substitution] = set()
-    for body_atom in rule.body.sorted_atoms():
-        for delta_atom in delta_atoms:
-            pinned = _unify_body_atom(body_atom, delta_atom)
-            if pinned is None:
-                continue
-            for hom in homomorphisms(rule.body, instance, partial=pinned):
-                trigger = Trigger(rule, hom)
-                if trigger.mapping in seen:
-                    continue
-                seen.add(trigger.mapping)
-                yield trigger
 
 
 def unsatisfied_triggers(

@@ -8,12 +8,12 @@ maintenance built on two invariants of chase derivations:
 
 1. **Growth** (``F → F ∪ Δ``): a trigger of the grown instance either
    avoids ``Δ`` (it was already live) or sends a body atom onto a
-   ``Δ``-atom — found by :func:`~repro.chase.trigger.triggers_from_delta`
-   with only the rules whose body predicates meet ``Δ``'s re-matched.
-   Satisfaction is monotone under growth, so a satisfied trigger stays
-   satisfied; an unsatisfied one needs a recheck only if the new atoms
-   could host the head image, i.e. only if the rule's *head* predicates
-   meet ``Δ``'s.
+   ``Δ``-atom — found by pinning each body atom onto each compatible
+   ``Δ``-atom, re-matching only the rules whose body predicates meet
+   ``Δ``'s.  Satisfaction is monotone under growth, so a satisfied
+   trigger stays satisfied; an unsatisfied one needs a recheck only if
+   the new atoms could host the head image, i.e. only if the rule's
+   *head* predicates meet ``Δ``'s.
 2. **Retraction** (``F → σ(F)`` with ``σ`` a retraction of ``F``, i.e.
    an *idempotent* endomorphism): the triggers of ``σ(F)`` are exactly
    the transports ``σ ∘ π`` of the triggers of ``F`` (Section 3's
@@ -31,17 +31,23 @@ maintenance built on two invariants of chase derivations:
 Together these make the live pool — and the satisfied subset the
 restricted/core variants filter on — maintainable without ever
 re-enumerating a rule whose neighbourhood did not change.
+
+:class:`TriggerIndex` keeps the pool and both maintenance rules; the
+growth-step *discovery* (which triggers touch ``Δ``) is the compiled
+join of its subclass,
+:class:`~repro.chase.compiled_index.CompiledTriggerIndex`, the index
+the engine builds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..logic.atoms import Atom
 from ..logic.atomset import AtomSet
 from ..logic.rules import ExistentialRule
 from ..logic.substitution import Substitution
-from .trigger import Trigger, triggers, triggers_from_delta
+from .trigger import Trigger, triggers
 
 __all__ = ["TriggerIndex"]
 
@@ -50,6 +56,9 @@ TriggerKey = tuple
 
 class TriggerIndex:
     """The incrementally maintained set of live triggers of an instance.
+
+    A subclass supplies the growth-step discovery
+    (:meth:`_delta_triggers`); everything else lives here.
 
     Parameters
     ----------
@@ -63,7 +72,7 @@ class TriggerIndex:
         and core variants; the oblivious variants never ask).
     """
 
-    __slots__ = ("rules", "track_satisfaction", "_live", "_satisfied", "_body_preds", "_head_preds")
+    __slots__ = ("rules", "track_satisfaction", "_live", "_satisfied", "_head_preds")
 
     def __init__(
         self,
@@ -73,9 +82,6 @@ class TriggerIndex:
     ):
         self.rules = list(rules)
         self.track_satisfaction = track_satisfaction
-        self._body_preds = {
-            rule.name: rule.body.predicates() for rule in self.rules
-        }
         self._head_preds = {
             rule.name: rule.head.predicates() for rule in self.rules
         }
@@ -143,22 +149,18 @@ class TriggerIndex:
         satisfied now (the one just applied) — marking it saves one
         search.  Returns maintenance statistics for telemetry.
         """
-        delta_preds = {at.predicate for at in delta}
         before = len(self._live)
         new_keys: set[TriggerKey] = set()
-        if delta_preds:
-            for rule in self.rules:
-                if not (self._body_preds[rule.name] & delta_preds):
-                    continue
-                for trigger in triggers_from_delta(rule, instance, delta):
-                    key = self.key(trigger)
-                    if key not in self._live:
-                        self._live[key] = trigger
-                        new_keys.add(key)
+        for trigger in self._delta_triggers(instance, delta):
+            key = self.key(trigger)
+            if key not in self._live:
+                self._live[key] = trigger
+                new_keys.add(key)
         rechecks = 0
         if self.track_satisfaction:
             if satisfied_hint is not None:
                 self._satisfied.add(self.key(satisfied_hint))
+            delta_preds = {at.predicate for at in delta}
             for key, trigger in self._live.items():
                 if key in self._satisfied:
                     continue
@@ -179,6 +181,14 @@ class TriggerIndex:
             "triggers_reused": before,
             "satisfaction_rechecks": rechecks,
         }
+
+    def _delta_triggers(
+        self, instance: AtomSet, delta: list[Atom]
+    ) -> Iterator[Trigger]:
+        """The triggers of *instance* that send some body atom onto a
+        *delta* atom, each body mapping once — the growth step's
+        discovery, which the subclass implements."""
+        raise NotImplementedError
 
     def transport(self, simplification: Substitution) -> dict:
         """Absorb a retraction step: carry every live trigger through the

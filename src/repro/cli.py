@@ -64,12 +64,10 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .analysis import analyze_ruleset
 from .chase.engine import ChaseVariant, run_chase
-from .logic import indexing
 from .logic.serialization import load_instance, load_kb_file
 from .obs import (
     JsonlTracer,
@@ -126,17 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     chase.add_argument(
         "--no-index",
         action="store_true",
-        help="run the naive engine: no incremental trigger index, no "
+        help="run the naive engine instead of the compiled kernel: no "
+        "compiled join plans, no incremental trigger index, no "
         "positional atom index, no incremental core maintenance (the "
         "reference path differential tests compare against)",
-    )
-    chase.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="disable the compiled chase kernel: homomorphism searches "
-        "and trigger maintenance run on the object-level indexed "
-        "engine (the kernel's differential oracle) instead of the "
-        "interned join plans (implied by --no-index)",
     )
     chase.add_argument(
         "--timeout",
@@ -144,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="cooperative deadline: stop between rule applications once "
         "SECONDS have elapsed and report the partial run",
-    )
-    chase.add_argument(
-        "--no-core-maint",
-        action="store_true",
-        help="disable only the incremental core maintainer: per-step "
-        "cores are recomputed from scratch while the other indexes "
-        "stay on (implied by --no-index)",
     )
 
     entail = commands.add_parser("entail", help="decide a Boolean CQ")
@@ -414,20 +398,14 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         observer = MetricsObserver(registry)
     else:
         observer = None
-    maint_scope = (
-        indexing.configured(core_maint=False)
-        if args.no_core_maint
-        else nullcontext()
-    )
     deadline = Deadline(args.timeout) if args.timeout is not None else None
     try:
-        with maint_scope, observing(observer):
+        with observing(observer):
             result = run_chase(
                 kb,
                 variant=args.variant,
                 max_steps=args.steps,
                 use_index=not args.no_index,
-                use_compiled=not args.no_compiled,
                 should_stop=deadline,
             )
     finally:

@@ -1,7 +1,7 @@
 """The compiled chase kernel: interned terms, columnar relations, and
 join-plan evaluation (ISSUE 7).
 
-The object-level engine evaluates rule bodies and endomorphism checks by
+The object-level search evaluates rule bodies and endomorphism checks by
 backtracking over :class:`~repro.logic.atoms.Atom` graphs — every inner
 step hashes composite objects (``("var", name)`` tuples, ``(predicate,
 position, term)`` index keys) and sorts candidate pools of full atoms.
@@ -17,17 +17,16 @@ This package removes the object layer from the hot loop:
 * :mod:`~repro.logic.compiled.plans` — the compiled join evaluator: the
   *same* most-constrained-first backtracking search as
   :func:`repro.logic.homomorphism.homomorphisms`, replayed over int
-  tuples with an explicit frame stack.  It replicates the indexed
-  search's pools, ordering and tie-breaks exactly, so the two paths
-  produce **identical witnesses** — the differential suite asserts
-  equality of runs, not mere isomorphism.
+  tuples with an explicit frame stack, with the positional index's
+  pools, ordering and tie-breaks.
 
-The kernel sits behind the same switchboard as the indexed layer
-(:func:`repro.logic.indexing.compiled_enabled`, scoped off by
-``--no-compiled`` / :func:`repro.logic.indexing.no_compiled`); when it is
-off — or a search needs a feature the kernel does not compile
-(``injective`` isomorphism searches) — the object-level indexed search
-runs unchanged.  See docs/PERFORMANCE.md ("Compiled kernel").
+The kernel is the engine: every non-injective homomorphism search and
+the chase's trigger maintenance run on it.  Two paths stay on the object
+level: ``injective`` (isomorphism) searches, which the kernel does not
+compile, and the naive reference inside
+:func:`repro.logic.indexing.no_index` (``--no-index``), which the
+differential suite compares the kernel against.  See
+docs/PERFORMANCE.md ("Compiled kernel").
 """
 
 from .interner import SymbolTable, symbol_table

@@ -16,7 +16,7 @@ of the kernel leans on:
   atoms as text) interns every symbol back to the code it already has;
   derived compiled state survives save/load without translation.
 
-The table is process-global (like the switches in
+The table is process-global (like the switch in
 :mod:`repro.logic.indexing` and the observer in :mod:`repro.obs`): codes
 are only ever compared against codes from the same process, and the
 engine's derived structures are rebuilt rather than shipped across

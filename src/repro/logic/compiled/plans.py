@@ -16,10 +16,10 @@
 * the same undo accounting (every clash or exhausted subtree bumps
   ``_stats["backtracks"]`` exactly once, like ``_undo``).
 
-Because pools, order and tie-breaks coincide, the two paths enumerate
-**identical witnesses in identical order** — the differential suite
-asserts equality, and the chase produces byte-identical application
-counts whichever path runs.
+Because pools, order and tie-breaks coincide, the kernel enumerates the
+witnesses of the object search in the same order.  The differential
+suite checks the result against the naive reference: the same
+witnesses as a set, and chase runs with the same rule sequence.
 
 Two structural changes make the replay fast without changing what it
 enumerates:
@@ -355,9 +355,7 @@ def compiled_homomorphisms(
     source_set: "Optional[AtomSet]" = None,
 ) -> Iterator[Substitution]:
     """Enumerate homomorphisms as :class:`Substitution` objects — the
-    decompiled form of :func:`compiled_assignments`, yielding exactly the
-    substitutions (same bindings, same order) the object-level indexed
-    search would."""
+    decompiled form of :func:`compiled_assignments`."""
     decode = symbol_table().decode_term
     for assignment, source_var_codes in compiled_assignments(
         source_atoms,

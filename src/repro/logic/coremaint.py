@@ -9,7 +9,7 @@ certified one step earlier.  :class:`CoreMaintainer` keeps enough state
 across steps to avoid that — while remaining **exact**: its result is a
 genuine idempotent retraction onto a core, bit-for-bit a valid
 simplification, differentially tested against the naive path (which
-stays reachable via ``--no-core-maint`` / :func:`repro.logic.indexing.
+stays reachable via ``--no-index`` / :func:`repro.logic.indexing.
 no_index`).
 
 Invariant and certificates
@@ -89,16 +89,15 @@ retraction rather than an addition.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..obs import observer as _observer_state
-from . import indexing as _indexing
 from .atoms import Atom
 from .atomset import AtomSet
 from . import compiled as _compiled
 from .compiled import plans as _compiled_plans
 from .cores import _fold_pass, _variable_order
-from .homomorphism import find_homomorphism, homomorphisms
+from .homomorphism import find_homomorphism
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
 
@@ -145,13 +144,6 @@ def _unify_onto(source: Atom, target: Atom) -> Optional[Substitution]:
         elif bound != tgt_term:
             return None
     return Substitution(binding)
-
-
-def _is_proper(endo: Substitution, variables: Iterable[Variable]) -> bool:
-    """True iff *endo* misses some of *variables* in its image — i.e. it
-    folds to a proper retraction."""
-    image = {endo.apply_term(v) for v in variables}
-    return any(v not in image for v in variables)
 
 
 class CoreMaintainer:
@@ -427,31 +419,23 @@ class CoreMaintainer:
         variable removable, or ``(None, False)`` when a pair exceeded
         :data:`PAIR_ENUM_CAP` enumerated endomorphisms.
         """
-        current_vars = current.variables()
         dirty = [at for at in current.sorted_atoms() if at not in clean]
         if not dirty:
             return None, True
 
-        # Compiled fast path (ISSUE 7): the scan runs one endomorphism
-        # search per pin against the *same* source, so the pattern is
-        # encoded once and each pinned search runs in int space, testing
-        # properness on the live assignment (a proper endomorphism has
-        # some variable code outside its own image) — a Substitution is
-        # materialized only for the one fold actually returned.  Pin
-        # order, enumeration order, cap semantics and stats are
-        # identical to the object loop below (the compiled evaluator
-        # replicates the indexed search witness-for-witness).
-        compiled_on = (
-            _indexing.compiled_enabled() and _indexing.atom_index_enabled()
+        # The scan runs one endomorphism search per pin against the
+        # *same* source, so the pattern is encoded once and each pinned
+        # search runs in int space, testing properness on the live
+        # assignment (a proper endomorphism has some variable code
+        # outside its own image) — a Substitution is materialized only
+        # for the one fold actually returned.
+        table = _compiled.symbol_table()
+        encode_term = table.encode_term
+        decode_term = table.decode_term
+        encoded, var_codes = _compiled_plans.source_plan(
+            current, current.sorted_atoms()
         )
-        if compiled_on:
-            table = _compiled.symbol_table()
-            encode_term = table.encode_term
-            decode_term = table.decode_term
-            encoded, var_codes = _compiled_plans.source_plan(
-                current, current.sorted_atoms()
-            )
-            view = _compiled.compiled_view(current)
+        view = _compiled.compiled_view(current)
 
         seen_pins: set[Substitution] = set()
         for delta_atom in dirty:
@@ -467,33 +451,21 @@ class CoreMaintainer:
                 seen_pins.add(pin)
                 stats["pairs_checked"] += 1
                 enumerated = 0
-                if compiled_on:
-                    seed = {
-                        encode_term(v): encode_term(t)
-                        for v, t in pin.items()
-                    }
-                    for assignment in _compiled_plans.run_plan(
-                        encoded, view, seed, frozenset()
-                    ):
-                        enumerated += 1
-                        stats["pair_endomorphisms"] += 1
-                        image = {assignment[vc] for vc in var_codes}
-                        if any(vc not in image for vc in var_codes):
-                            endo = Substitution(
-                                {
-                                    decode_term(v): decode_term(t)
-                                    for v, t in assignment.items()
-                                    if v in var_codes
-                                }
-                            )
-                            return endo, False
-                        if enumerated >= PAIR_ENUM_CAP:
-                            return None, False  # budget blown: fall back
-                    continue
-                for endo in homomorphisms(current, current, partial=pin):
+                seed = {encode_term(v): encode_term(t) for v, t in pin.items()}
+                for assignment in _compiled_plans.run_plan(
+                    encoded, view, seed, frozenset()
+                ):
                     enumerated += 1
                     stats["pair_endomorphisms"] += 1
-                    if _is_proper(endo, current_vars):
+                    image = {assignment[vc] for vc in var_codes}
+                    if any(vc not in image for vc in var_codes):
+                        endo = Substitution(
+                            {
+                                decode_term(v): decode_term(t)
+                                for v, t in assignment.items()
+                                if v in var_codes
+                            }
+                        )
                         return endo, False
                     if enumerated >= PAIR_ENUM_CAP:
                         return None, False  # budget blown: fall back

@@ -31,6 +31,11 @@ Three extra knobs cover every use in the library:
 ``injective``
     Demand an injective term mapping — the isomorphism search builds on
     this.
+
+Every non-injective search runs on the compiled kernel
+(:mod:`repro.logic.compiled`), which replays this search over interned
+int tuples.  The object search below runs the injective searches, and
+every search inside :func:`repro.logic.indexing.no_index`.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ def homomorphisms(
     """Iterate over all homomorphisms from *source* into *target*.
 
     Every yielded substitution has exactly the variables of *source* in
-    its domain (bindings of *partial* for variables outside the source are
-    re-attached so callers can keep composing).
+    its domain: bindings of *partial* for variables outside the source
+    are dropped, so a caller that needs them merges them back itself.
 
     ``_stats`` is the telemetry hook: when a dict is passed, the search
     records its problem sizes and counts every undo of a tentative atom
@@ -91,17 +96,11 @@ def homomorphisms(
         _stats["source_atoms"] = len(source_atoms)
         _stats["target_atoms"] = len(target)
 
-    # Compiled kernel (ISSUE 7): non-injective searches run as join
-    # plans over interned int tuples.  The kernel replicates the
-    # *indexed* pools/order/tie-breaks exactly — identical witnesses,
-    # identical backtrack counts — so it only engages when the atom
-    # index is the reference semantics; isomorphism searches
-    # (``injective``) bail to the object path below.
-    if (
-        not injective
-        and _indexing.compiled_enabled()
-        and _indexing.atom_index_enabled()
-    ):
+    # Non-injective searches run on the compiled kernel as join plans
+    # over interned int tuples, except under ``no_index()``, where the
+    # naive pools below are the reference.  Isomorphism searches
+    # (``injective``) are not compiled and take the object path.
+    if not injective and _indexing.atom_index_enabled():
         yield from _plans.compiled_homomorphisms(
             source_atoms,
             target,
@@ -165,8 +164,8 @@ def homomorphisms(
 
         def candidates(at: Atom) -> list[Atom]:
             """The naive pools (term-containment index, filtered to the
-            predicate, sorted eagerly) — kept reachable for differential
-            testing against the indexed path."""
+            predicate, sorted eagerly) — the reference the compiled
+            kernel is differentially tested against."""
             pool: Optional[set[Atom]] = None
             for src_term in at.args:
                 if isinstance(src_term, Constant):

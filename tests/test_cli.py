@@ -320,7 +320,7 @@ class TestStatsCommand:
     def test_no_core_maint_trace_has_no_maintenance_events(
         self, kb_file, tmp_path, capsys
     ):
-        """With ``--no-core-maint`` the run falls back to from-scratch
+        """With ``--no-index`` the run falls back to from-scratch
         retraction: no maintenance events, zero aggregates."""
         path = tmp_path / "naive.jsonl"
         main(
@@ -330,7 +330,7 @@ class TestStatsCommand:
                 "--variant",
                 "core",
                 "--quiet",
-                "--no-core-maint",
+                "--no-index",
                 "--trace",
                 str(path),
             ]

@@ -134,14 +134,14 @@ class TestFloorMode:
 
     def test_baseline_name_compares_cross_table(self, gate, tmp_path, capsys):
         """--baseline-name diffs one results table against a different
-        reference table (the same-machine indexed-vs-compiled gate);
+        reference table (the same-machine compiled-vs-naive gate);
         --ignore-fields drops the engine column that would otherwise
         keep the rows from matching."""
         baselines = tmp_path / "tables"
         baselines.mkdir()
-        indexed = _table([{**ROW, "engine": "indexed"}])
+        naive = _table([{**ROW, "engine": "naive"}])
         compiled = _table([{**ROW, "seconds": 1.0, "engine": "compiled"}])
-        (baselines / "perf_demo_indexed.json").write_text(json.dumps(indexed))
+        (baselines / "perf_demo_naive.json").write_text(json.dumps(naive))
         (baselines / "perf_demo_compiled.json").write_text(json.dumps(compiled))
         code, output = _run(
             gate,
@@ -149,7 +149,7 @@ class TestFloorMode:
                 "perf_demo_compiled",
                 "--baselines", str(baselines),
                 "--results", str(baselines),
-                "--baseline-name", "perf_demo_indexed",
+                "--baseline-name", "perf_demo_naive",
                 "--min-speedup", "1.5",
                 "--ignore-fields", "engine",
             ],
@@ -163,9 +163,9 @@ class TestFloorMode:
         rows apart — by design, so a stale comparison fails loudly."""
         baselines = tmp_path / "tables"
         baselines.mkdir()
-        indexed = _table([{**ROW, "engine": "indexed"}])
+        naive = _table([{**ROW, "engine": "naive"}])
         compiled = _table([{**ROW, "seconds": 1.0, "engine": "compiled"}])
-        (baselines / "perf_demo_indexed.json").write_text(json.dumps(indexed))
+        (baselines / "perf_demo_naive.json").write_text(json.dumps(naive))
         (baselines / "perf_demo_compiled.json").write_text(json.dumps(compiled))
         code, output = _run(
             gate,
@@ -173,7 +173,7 @@ class TestFloorMode:
                 "perf_demo_compiled",
                 "--baselines", str(baselines),
                 "--results", str(baselines),
-                "--baseline-name", "perf_demo_indexed",
+                "--baseline-name", "perf_demo_naive",
                 "--min-speedup", "1.5",
             ],
             capsys,
@@ -209,6 +209,24 @@ class TestFloorMode:
         assert code == 0
         assert "staircase" not in output
         assert "4.00x speedup" in output
+
+    def test_only_rows_substring_matching_no_row_fails(
+        self, gate, tmp_path, capsys
+    ):
+        """A misspelt --only-rows substring gates nothing, so it must
+        fail the table by name instead of passing — even when another
+        substring matches and clears the floor."""
+        argv = _write_pair(tmp_path, [ROW], [{**ROW, "seconds": 1.0}])
+        code, output = _run(
+            gate,
+            argv
+            + ["--min-speedup", "2", "--only-rows", "elevator,staircase-core"],
+            capsys,
+        )
+        assert code == 1
+        assert "4.00x speedup" in output
+        assert "'staircase-core' matches no row of perf_demo" in output
+        assert "perf gate clean" not in output
 
 
 class TestCeilingMode:

@@ -1,21 +1,20 @@
 """The compiled kernel (ISSUE 7): interning, columnar views, join
 plans, and the semi-naive trigger index.
 
-Complements ``test_differential_index.py`` (which fuzzes whole runs
-across the three engines) with targeted unit tests of the compiled
-layer's own invariants:
+Complements ``test_differential_index.py`` (which fuzzes whole runs of
+the compiled engine against the naive one) with targeted unit tests of
+the compiled layer's own invariants:
 
 * the symbol table is injective across term *kinds* and stable across
   KB merges and re-encodings;
 * a compiled view maintained incrementally through adds/discards/copies
   equals one rebuilt from scratch;
-* the compiled evaluator returns the indexed object search's witness
-  lists *in order*, including under partial assignments and forbidden
-  images;
+* the compiled evaluator returns the naive search's witnesses, including
+  under partial assignments and forbidden images, and ``injective``
+  searches (which stay on the object path) agree with the naive ones;
 * the semi-naive ``CompiledTriggerIndex`` survives mid-chase
   ``CoreMaintainer`` retractions with a live pool identical to a
   from-scratch rescan;
-* every documented bail-out really falls back to the object engine;
 * ``compile``/``join_plan`` events and ``compiled.*`` metrics flow
   through :mod:`repro.obs`.
 """
@@ -26,7 +25,6 @@ import json
 from repro.chase.compiled_index import CompiledTriggerIndex
 from repro.chase.engine import ChaseEngine, ChaseVariant, run_chase
 from repro.chase.trigger import triggers
-from repro.chase.trigger_index import TriggerIndex
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.staircase import staircase_kb
 from repro.logic import indexing
@@ -35,6 +33,7 @@ from repro.logic.atomset import AtomSet
 from repro.logic.compiled import compiled_homomorphisms, compiled_view
 from repro.logic.compiled.interner import reset_symbol_table, symbol_table
 from repro.logic.homomorphism import homomorphisms
+from repro.logic.isomorphism import isomorphic
 from repro.logic.parser import parse_atoms
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, FreshVariableSource, Variable
@@ -169,13 +168,13 @@ class TestCompiledView:
 
 
 # ---------------------------------------------------------------------------
-# the compiled evaluator vs the object search
+# the compiled evaluator vs the naive search
 # ---------------------------------------------------------------------------
 
 
-def _object_witnesses(source, target, **kw):
-    with indexing.no_compiled():
-        return list(homomorphisms(source, target, **kw))
+def _naive_witnesses(source, target, **kw):
+    with indexing.no_index():
+        return set(homomorphisms(source, target, **kw))
 
 
 class TestWitnessParity:
@@ -184,42 +183,44 @@ class TestWitnessParity:
         target = AtomSet(
             parse_atoms("e(a, b), e(b, c), e(c, a), e(b, d), e(d, b)")
         )
-        assert list(homomorphisms(source, target)) == _object_witnesses(
-            source, target
-        )
+        compiled = list(homomorphisms(source, target))
+        assert len(compiled) == len(set(compiled))
+        assert set(compiled) == _naive_witnesses(source, target)
 
     def test_witness_lists_identical_under_partial(self):
         source = AtomSet(parse_atoms("e(X, Y), e(Y, Z)"))
         target = AtomSet(parse_atoms("e(a, b), e(b, c), e(c, a)"))
         partial = Substitution({Variable("X"): Constant("a")})
-        assert list(
+        assert set(
             homomorphisms(source, target, partial=partial)
-        ) == _object_witnesses(source, target, partial=partial)
+        ) == _naive_witnesses(source, target, partial=partial)
 
     def test_witness_lists_identical_under_forbidden_images(self):
         source = AtomSet(parse_atoms("e(X, Y)"))
         target = AtomSet(parse_atoms("e(a, b), e(b, c)"))
         forbidden = (Constant("b"),)
-        assert list(
+        assert set(
             homomorphisms(source, target, forbidden_images=forbidden)
-        ) == _object_witnesses(source, target, forbidden_images=forbidden)
+        ) == _naive_witnesses(source, target, forbidden_images=forbidden)
 
     def test_compiled_homomorphisms_direct_entry_point(self):
         source = AtomSet(parse_atoms("e(X, Y), e(Y, X)"))
         target = AtomSet(parse_atoms("e(a, b), e(b, a), e(b, c)"))
-        assert list(
+        assert set(
             compiled_homomorphisms(source, target)
-        ) == _object_witnesses(source, target)
+        ) == _naive_witnesses(source, target)
 
     def test_injective_search_bails_to_object_path(self):
         """Injective (isomorphism-style) searches are not compiled; the
-        router must hand them to the object engine, which enforces the
+        router hands them to the object engine, which enforces the
         image-disjointness discipline the plans do not model."""
         source = AtomSet(parse_atoms("e(X, Y), e(Y, Z)"))
-        target = AtomSet(parse_atoms("e(a, b), e(b, c)"))
-        assert list(
-            homomorphisms(source, target, injective=True)
-        ) == _object_witnesses(source, target, injective=True)
+        target = AtomSet(parse_atoms("e(a, b), e(b, c), e(c, a), e(a, a)"))
+        found = set(homomorphisms(source, target, injective=True))
+        assert all(
+            len({term for _, term in hom.items()}) == len(hom) for hom in found
+        ), "an injective witness reused an image"
+        assert found == _naive_witnesses(source, target, injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -245,37 +246,25 @@ class TestCompiledTriggerIndex:
         assert set(engine._index._live.keys()) == rescanned
 
     def test_core_run_equals_indexed_oracle_after_retractions(self):
+        """The compiled core run against the naive reference: same
+        applications and retractions, isomorphic final instance."""
         compiled = run_chase(
             elevator_kb(), variant=ChaseVariant.CORE, max_steps=10
         )
-        indexed = run_chase(
+        naive = run_chase(
             elevator_kb(),
             variant=ChaseVariant.CORE,
             max_steps=10,
-            use_compiled=False,
+            use_index=False,
         )
-        assert compiled.applications == indexed.applications
-        assert compiled.retractions == indexed.retractions
-        assert compiled.final_instance == indexed.final_instance
+        assert compiled.applications == naive.applications
+        assert compiled.retractions == naive.retractions
+        assert isomorphic(compiled.final_instance, naive.final_instance)
 
     def test_default_engine_installs_compiled_index(self):
         engine = ChaseEngine(elevator_kb(), variant=ChaseVariant.RESTRICTED)
         engine.run(max_steps=2)
         assert isinstance(engine._index, CompiledTriggerIndex)
-
-    def test_no_compiled_scope_falls_back_to_object_index(self):
-        kb = elevator_kb()
-        with indexing.no_compiled():
-            engine = ChaseEngine(kb, variant=ChaseVariant.RESTRICTED)
-            engine.run(max_steps=4)
-            assert type(engine._index) is TriggerIndex
-
-    def test_use_compiled_false_falls_back_to_object_index(self):
-        engine = ChaseEngine(
-            elevator_kb(), variant=ChaseVariant.RESTRICTED, use_compiled=False
-        )
-        engine.run(max_steps=4)
-        assert type(engine._index) is TriggerIndex
 
     def test_no_index_disables_both_layers(self):
         engine = ChaseEngine(
@@ -283,23 +272,6 @@ class TestCompiledTriggerIndex:
         )
         engine.run(max_steps=4)
         assert engine._index is None
-
-    def test_scoped_off_mid_run_bails_per_delta(self):
-        """A CompiledTriggerIndex asked to absorb a delta while the
-        compiled layer is scoped off must take the object path — same
-        pool either way."""
-        kb = elevator_kb()
-        engine = ChaseEngine(kb, variant=ChaseVariant.RESTRICTED)
-        engine.run(max_steps=2)
-        assert isinstance(engine._index, CompiledTriggerIndex)
-        with indexing.no_compiled():
-            engine.resume(extra_steps=2)
-        rescanned = {
-            (rule.name, trigger.full_image())
-            for rule in kb.rules
-            for trigger in triggers(rule, engine.current_instance)
-        }
-        assert set(engine._index._live.keys()) == rescanned
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +336,7 @@ class TestCompiledTelemetry:
                 elevator_kb(),
                 variant=ChaseVariant.RESTRICTED,
                 max_steps=4,
-                use_compiled=False,
+                use_index=False,
             )
         kinds = {
             json.loads(line)["kind"]

@@ -1,19 +1,12 @@
-"""Differential tests: compiled vs indexed vs naive engines.
+"""Differential tests: the compiled engine against the naive reference.
 
-The evaluation layers must be pure optimisations, on two tiers:
-
-* **Indexed vs naive** (PR 2/3): for every KB and variant, a run with
-  ``use_index=True`` and one with ``use_index=False`` must select the
-  same rule sequence, perform the same number of applications, and end
-  in *isomorphic* instances.  (Only isomorphic, not equal: the two
-  paths may pick different — equally valid — fold witnesses inside core
-  retractions, so null names can differ.)
-* **Compiled vs indexed** (ISSUE 7): the compiled kernel replays the
-  indexed search's pools, selection order and tie-breaks over interned
-  int tuples, so it must produce **identical** witnesses — the two runs
-  are compared for *equality* (same rule sequence, same applications,
-  byte-identical final instances including null names), not just
-  isomorphism.
+The evaluation layers must be pure optimisations: for every KB and
+variant, a compiled run (``use_index=True``, the default) and a naive
+run (``use_index=False``) must select the same rule sequence, perform
+the same number of applications, keep the same instance size after
+every step, and end in *isomorphic* instances.  (Only isomorphic, not
+equal: the two paths may pick different — equally valid — fold
+witnesses inside core retractions, so null names can differ.)
 
 Random KBs come from :func:`repro.kbs.generators.random_kb`; hypothesis
 fuzzes the seed and shape (``--hypothesis-seed`` reproduces a CI
@@ -59,27 +52,17 @@ def _rule_sequence(result):
 
 def assert_equivalent_runs(kb, variant, max_steps=MAX_STEPS):
     compiled = run_chase(kb, variant=variant, max_steps=max_steps)
-    indexed = run_chase(
-        kb, variant=variant, max_steps=max_steps, use_compiled=False
-    )
     naive = run_chase(kb, variant=variant, max_steps=max_steps, use_index=False)
 
-    # Tier 1 — compiled vs indexed: identical witnesses, so equality.
-    assert compiled.terminated == indexed.terminated
-    assert compiled.applications == indexed.applications
-    assert _rule_sequence(compiled) == _rule_sequence(indexed)
-    assert compiled.final_instance == indexed.final_instance
-
-    # Tier 2 — indexed vs naive: same derivation shape, isomorphic end.
-    assert indexed.terminated == naive.terminated
-    assert indexed.applications == naive.applications
-    assert _rule_sequence(indexed) == _rule_sequence(naive)
+    assert compiled.terminated == naive.terminated
+    assert compiled.applications == naive.applications
+    assert _rule_sequence(compiled) == _rule_sequence(naive)
     for fast_step, slow_step in zip(
-        indexed.derivation.steps, naive.derivation.steps
+        compiled.derivation.steps, naive.derivation.steps
     ):
         assert len(fast_step.instance) == len(slow_step.instance)
-    assert isomorphic(indexed.final_instance, naive.final_instance)
-    return indexed
+    assert isomorphic(compiled.final_instance, naive.final_instance)
+    return compiled
 
 
 @given(kb=kb_strategy(), variant=st.sampled_from(ChaseVariant.ALL))
@@ -88,23 +71,15 @@ def test_indexed_run_matches_naive_on_random_kbs(kb, variant):
     assert_equivalent_runs(kb, variant)
 
 
-@given(
-    kb=kb_strategy(),
-    variant=st.sampled_from(ChaseVariant.ALL),
-    use_compiled=st.booleans(),
-)
+@given(kb=kb_strategy(), variant=st.sampled_from(ChaseVariant.ALL))
 @SETTINGS
-def test_trigger_index_pool_matches_rescan_on_random_kbs(
-    kb, variant, use_compiled
-):
-    """After an indexed run, the maintained live pool must equal a
+def test_trigger_index_pool_matches_rescan_on_random_kbs(kb, variant):
+    """After a compiled run, the maintained live pool must equal a
     from-scratch ``triggers()`` rescan of the final instance — the
-    ISSUE's "identical trigger sets" clause.  Fuzzed over both index
-    implementations (object ``TriggerIndex`` and the compiled
-    semi-naive one)."""
+    "identical trigger sets" clause."""
     from repro.chase.engine import ChaseEngine
 
-    engine = ChaseEngine(kb, variant=variant, use_compiled=use_compiled)
+    engine = ChaseEngine(kb, variant=variant)
     result = engine.run(max_steps=MAX_STEPS)
     index = engine._index
     rescanned = {

@@ -13,7 +13,6 @@ from repro.chase import (
     semi_oblivious_chase,
 )
 from repro.chase.compiled_index import CompiledTriggerIndex
-from repro.chase.trigger_index import TriggerIndex
 from repro.kbs.witnesses import (
     bts_not_fes_kb,
     fes_not_bts_kb,
@@ -21,7 +20,6 @@ from repro.kbs.witnesses import (
     transitive_closure_kb,
     weakly_acyclic_kb,
 )
-from repro.logic import indexing
 from repro.logic.cores import is_core
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atoms, parse_rules
@@ -389,30 +387,14 @@ class TestRestoreBuildsIndexOnFirstStep:
         kb = make_kb()
         self._assert_matches_straight_run(kb, variant, prior, extra)
 
-    def test_no_compiled_only_at_resume_time(self):
-        def resume_without_compiled(engine, extra):
-            with indexing.no_compiled():
-                result = engine.resume(extra)
-                assert type(engine._index) is TriggerIndex
-            return result
-
-        self._assert_matches_straight_run(
-            elevator_kb(), ChaseVariant.CORE, 5, 6, resume=resume_without_compiled
-        )
-
-    def _assert_matches_straight_run(
-        self, kb, variant, prior, extra, resume=None
-    ):
+    def _assert_matches_straight_run(self, kb, variant, prior, extra):
         straight_engine = ChaseEngine(kb, variant=variant)
         straight = straight_engine.run(max_steps=prior + extra)
 
         state = self._checkpoint(kb, variant, prior)
         engine = ChaseEngine(kb, variant=variant)
         engine.restore_state(state)
-        if resume is None:
-            result = engine.resume(extra)
-        else:
-            result = resume(engine, extra)
+        result = engine.resume(extra)
 
         resumed_steps = [step.instance for step in result.derivation.steps[1:]]
         straight_steps = [

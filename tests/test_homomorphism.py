@@ -1,5 +1,10 @@
 """Tests for repro.logic.homomorphism."""
 
+from contextlib import nullcontext
+
+import pytest
+
+from repro.logic import indexing
 from repro.logic.homomorphism import (
     count_homomorphisms,
     find_homomorphism,
@@ -115,6 +120,17 @@ class TestKnobs:
             )
             is None
         )
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["compiled", "naive"])
+    def test_partial_bindings_outside_the_source_are_dropped(self, naive):
+        """A binding of *partial* for a variable the source does not
+        mention is not re-attached to the witnesses, on either path."""
+        source = parse_atoms("e(X, Y)")
+        target = parse_atoms("e(a, b), e(b, c)")
+        partial = Substitution({Variable("Q"): Constant("z")})
+        with indexing.no_index() if naive else nullcontext():
+            found = set(homomorphisms(source, target, partial=partial))
+        assert found == {Substitution({X: a, Y: b}), Substitution({X: b, Y: c})}
 
     def test_injective_search(self):
         source = parse_atoms("p(X), p(Y)")

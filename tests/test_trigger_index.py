@@ -3,8 +3,9 @@ behaviour under core retraction."""
 
 import pytest
 
+from repro.chase.compiled_index import CompiledTriggerIndex
 from repro.chase.engine import ChaseEngine, ChaseVariant
-from repro.chase.trigger import Trigger, apply_trigger, triggers, triggers_from_delta
+from repro.chase.trigger import Trigger, apply_trigger, triggers
 from repro.chase.trigger_index import TriggerIndex
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import random_kb
@@ -31,28 +32,40 @@ def rescan_satisfied(rules, instance):
     }
 
 
+def grow(index, instance, delta_text):
+    """Add the atoms of *delta_text* to *instance*, let *index* absorb
+    them, and return the triggers ``apply_delta`` added to the pool."""
+    before = set(index._live)
+    delta = list(parse_atoms(delta_text))
+    for at in delta:
+        instance.add(at)
+    stats = index.apply_delta(instance, delta)
+    added = [trigger for key, trigger in index._live.items() if key not in before]
+    assert stats["triggers_new"] == len(added)
+    return added
+
+
 class TestTriggersFromDelta:
+    """The growth step's discovery: ``apply_delta`` adds exactly the
+    triggers whose body image uses a delta atom."""
+
     def test_finds_exactly_the_delta_touching_triggers(self):
         rules = parse_rules("[R] e(X, Y), e(Y, Z) -> e(X, Z)")
         rule = rules[0]
         instance = parse_atoms("e(a, b), e(b, c)").copy()
         old = {tr.mapping for tr in triggers(rule, instance)}
-        delta = list(parse_atoms("e(c, d)"))
-        for at in delta:
-            instance.add(at)
-        from_delta = {tr.mapping for tr in triggers_from_delta(rule, instance, delta)}
+        index = CompiledTriggerIndex(rules, instance)
+        from_delta = {tr.mapping for tr in grow(index, instance, "e(c, d)")}
         rescanned = {tr.mapping for tr in triggers(rule, instance)}
         assert old | from_delta == rescanned
         assert all(mapping not in old for mapping in from_delta)
 
     def test_repeated_variable_unification_respects_equality(self):
         rules = parse_rules("[R] e(X, X) -> p(X, X)")
-        rule = rules[0]
         instance = parse_atoms("e(a, b)").copy()
-        delta = list(parse_atoms("e(c, c)"))
-        for at in delta:
-            instance.add(at)
-        found = list(triggers_from_delta(rule, instance, delta))
+        index = CompiledTriggerIndex(rules, instance)
+        assert len(index) == 0
+        found = grow(index, instance, "e(c, c)")
         assert len(found) == 1
         ((_, image),) = list(found[0].mapping.items())
         assert image.name == "c"
@@ -105,7 +118,7 @@ class TestTriggerIndexMaintenance:
         rules = parse_rules("[R] p(X) -> q(X, Y)")
         rule = rules[0]
         instance = parse_atoms("p(N1), p(b), q(b, c)").copy()
-        index = TriggerIndex([rule], instance, track_satisfaction=True)
+        index = CompiledTriggerIndex([rule], instance, track_satisfaction=True)
         assert len(index) == 2
         assert len(index.unsatisfied_triggers()) == 1  # the N1 trigger
         n1 = next(iter(parse_atoms("p(N1)").variables()))
@@ -122,7 +135,7 @@ class TestTriggerIndexMaintenance:
     def test_apply_delta_matches_manual_application(self):
         kb = random_kb(rule_count=2, fact_count=4, seed=2)
         instance = kb.facts.copy()
-        index = TriggerIndex(kb.rules, instance)
+        index = CompiledTriggerIndex(kb.rules, instance)
         fresh = FreshVariableSource(prefix="_t")
         pool = index.live_triggers()
         assert pool, "seed 2 is known to produce initial triggers"
