@@ -278,19 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "LRU eviction; default unbounded)",
     )
     serve.add_argument(
-        "--max-chain-depth",
-        type=int,
-        metavar="N",
-        help="delta records allowed per snapshot chain before the "
-        "store re-checkpoints a full base (default 8)",
-    )
-    serve.add_argument(
-        "--no-ancestor-resume",
-        action="store_true",
-        help="disable nearest-ancestor snapshot resolution on exact "
-        "snapshot misses (jobs chase cold instead)",
-    )
-    serve.add_argument(
         "--no-planner",
         action="store_true",
         help="disable planner routing: jobs run under their requests' "
@@ -907,8 +894,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_dir=args.fault_dir,
         max_snapshot_entries=args.max_snapshots,
         max_snapshot_bytes=max_snapshot_bytes,
-        max_chain_depth=args.max_chain_depth,
-        ancestor_resume=not args.no_ancestor_resume,
         trace_dir=args.trace_dir,
     )
     try:

@@ -68,6 +68,7 @@ latency measured from first submission (queueing and retries included).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -119,23 +120,17 @@ def _worker_store(
     retries it."""
     if not snapshot_dir:
         return None
-    return _open_store(snapshot_dir, tuple(sorted((limits or {}).items())))
+    limits = limits or {}
+    return _open_store(
+        snapshot_dir, limits.get("max_entries"), limits.get("max_bytes")
+    )
 
 
 @functools.lru_cache(maxsize=8)
-def _open_store(snapshot_dir: str, limits: tuple) -> SnapshotStore:
-    limits = dict(limits)
-    kwargs = {}
-    if limits.get("max_chain_depth") is not None:
-        kwargs["max_chain_depth"] = limits["max_chain_depth"]
-    if limits.get("ancestor_resume") is not None:
-        kwargs["ancestor_resume"] = limits["ancestor_resume"]
-    return SnapshotStore(
-        snapshot_dir,
-        max_entries=limits.get("max_entries"),
-        max_bytes=limits.get("max_bytes"),
-        **kwargs,
-    )
+def _open_store(
+    snapshot_dir: str, max_entries: Optional[int], max_bytes: Optional[int]
+) -> SnapshotStore:
+    return SnapshotStore(snapshot_dir, max_entries=max_entries, max_bytes=max_bytes)
 
 
 def _job_observer(registry: MetricsRegistry, trace_dir: Optional[str]):
@@ -171,55 +166,38 @@ def _run_job(
     fault_dir: Optional[str] = None,
     limits: Optional[dict] = None,
     trace_dir: Optional[str] = None,
+    in_process: bool = False,
 ) -> tuple[dict, dict]:
     """Worker-side body: execute one job, return (result, metrics).
 
-    Runs in a pool worker; only JSON-able dicts cross the boundary.
-    The request's trace context (if any) is activated for the whole
-    job and the job observer is installed process-globally for its
-    duration, so snapshot accesses and engine events — which report to
-    the global observer — are traced and stamped too."""
-    registry = get_registry()
-    registry.reset()
+    Only JSON-able dicts cross the boundary.  The request's trace
+    context (if any) is activated for the whole job.  In a pool worker
+    the process registry is reset and the job observer is installed
+    process-globally for the job's duration, so snapshot accesses and
+    engine events — which report to the global observer — are traced
+    and stamped too.  *in_process* (``workers=0``) records into a
+    private registry instead and must NOT touch the process-global
+    observer: it shares the process with the server's event loop.
+    Events the global observer emits on this thread stay stamped, since
+    context variables are per-thread."""
+    if in_process:
+        registry = MetricsRegistry(enabled=True)
+    else:
+        registry = get_registry()
+        registry.reset()
     plan = FaultPlan(fault_dir) if fault_dir else None
-    fire_worker_faults(plan, in_process=False)
+    fire_worker_faults(plan, in_process=in_process)
     request = JobRequest.from_obj(request_obj)
     store = _worker_store(snapshot_dir, limits)
     observer, sink = _job_observer(registry, trace_dir)
     context = TraceContext.from_obj(request.trace)
+    installed = (
+        contextlib.nullcontext()
+        if in_process
+        else _observer_state.observing(observer)
+    )
     try:
-        with activate(context), _observer_state.observing(observer):
-            _note_queue_wait(observer, request)
-            result = execute_job(request, store, observer=observer)
-            fire_snapshot_corruption(plan, snapshot_dir)
-    finally:
-        if sink is not None:
-            sink.close()
-    return result.to_obj(), registry.snapshot()
-
-
-def _run_job_local(
-    request_obj: dict,
-    snapshot_dir: Optional[str],
-    fault_dir: Optional[str] = None,
-    limits: Optional[dict] = None,
-    trace_dir: Optional[str] = None,
-) -> tuple[dict, dict]:
-    """In-process (``workers=0``) body: same contract, private registry.
-
-    Unlike the pool-worker body this must NOT touch the process-global
-    observer — it shares the process with the server's event loop.  The
-    trace context still activates (context variables are per-thread), so
-    events the global observer emits on this thread stay stamped."""
-    registry = MetricsRegistry(enabled=True)
-    plan = FaultPlan(fault_dir) if fault_dir else None
-    fire_worker_faults(plan, in_process=True)
-    request = JobRequest.from_obj(request_obj)
-    store = _worker_store(snapshot_dir, limits)
-    observer, sink = _job_observer(registry, trace_dir)
-    context = TraceContext.from_obj(request.trace)
-    try:
-        with activate(context):
+        with activate(context), installed:
             _note_queue_wait(observer, request)
             result = execute_job(request, store, observer=observer)
             fire_snapshot_corruption(plan, snapshot_dir)
@@ -352,12 +330,12 @@ class JobExecutor:
         Size bounds forwarded to the worker-side snapshot stores
         (access-counter LRU eviction past either bound); None leaves
         the store unbounded.
-    max_chain_depth:
-        Delta-chain depth budget forwarded to the worker-side stores
-        (chains re-checkpoint past it); None keeps the store default.
-    ancestor_resume:
-        Whether workers may resolve nearest-ancestor snapshots on exact
-        misses and resume incrementally (default True).
+
+    Every job runs the same body, :func:`_run_job`: in a pool worker,
+    or (``workers=0``) on the executor's thread with ``in_process=True``.
+    Ancestor resume is a per-job choice, the resolved strategy's
+    ``ancestor_resume``; a request opts out with a ``strategy`` that
+    sets it false.
     """
 
     def __init__(
@@ -370,8 +348,6 @@ class JobExecutor:
         max_snapshot_entries: Optional[int] = None,
         max_snapshot_bytes: Optional[int] = None,
         trace_dir: Optional[str] = None,
-        max_chain_depth: Optional[int] = None,
-        ancestor_resume: bool = True,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -383,20 +359,10 @@ class JobExecutor:
         self.trace_dir = str(trace_dir) if trace_dir else None
         if self.trace_dir:
             os.makedirs(self.trace_dir, exist_ok=True)
-        self._limits: Optional[dict] = None
-        if (
-            max_snapshot_entries is not None
-            or max_snapshot_bytes is not None
-            or max_chain_depth is not None
-            or not ancestor_resume
-        ):
-            self._limits = {
-                "max_entries": max_snapshot_entries,
-                "max_bytes": max_snapshot_bytes,
-                "max_chain_depth": max_chain_depth,
-                "ancestor_resume": ancestor_resume,
-            }
-        self._body = _run_job if workers > 0 else _run_job_local
+        self._limits = {
+            "max_entries": max_snapshot_entries,
+            "max_bytes": max_snapshot_bytes,
+        }
         self._lock = threading.Lock()
         self._pool = self._make_pool()
         self._pending = 0
@@ -474,12 +440,13 @@ class JobExecutor:
             )
         try:
             inner = pool.submit(
-                self._body,
+                _run_job,
                 job.request.to_obj(),
                 self.snapshot_dir,
                 self.fault_dir,
                 self._limits,
                 self.trace_dir,
+                in_process=self.workers == 0,
             )
         except BaseException as exc:  # noqa: BLE001 - supervisor boundary
             job.pool = pool

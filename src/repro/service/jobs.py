@@ -7,16 +7,27 @@ chase state) are materialized only inside the worker.
 
 :func:`execute_job` is the single entry point every execution path
 (process pool, in-process executor, ``--timeout`` CLI runs) goes
-through, so warm-start, deadline, and degradation semantics are defined
-once:
+through, and every op runs one body over a list of queries — none for
+``chase``, one for ``entail``, the request's list for ``batch_entail``
+— so warm-start, deadline, and degradation semantics are defined once
+and only the shape of the :class:`JobResult` depends on the op:
 
+* **Rewriting first.**  When the resolved strategy says ``rewrite``,
+  each query's cached UCQ plan is evaluated on the base facts; a
+  conclusive plan settles its query with no chase.
+* **One chase for the open queries.**  The chase runs if any query
+  is still open (always, for ``chase``); each step's instance is tested
+  against every open query, and the run stops once all are settled.
+  Queries the chase leaves open are settled by the fixpoint, the
+  deadline, the finite-countermodel search or the exhausted budget.
 * **Planner routing.**  A request flagged ``planner=True`` has its
   chase configuration (variant, core cadence, step budget, model-finder
   budget, ancestor-resume eligibility) replaced by the strategy the
   analysis planner derives from the KB's ruleset verdict
   (:meth:`repro.analysis.planner.Planner.decide`, cached by ruleset
   fingerprint in-process and in the snapshot catalog).  An explicit
-  ``strategy`` dict on the request overrides the planner entirely.
+  ``strategy`` dict on the request overrides the planner entirely; it
+  is also how a request opts out of ancestor resume.
 * **Warm start.**  With a :class:`~repro.service.snapshots.SnapshotStore`
   attached, the job first tries to restore the checkpointed chase for
   (KB, variant, core cadence) and resume it; since restore continues
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import json
@@ -76,7 +87,9 @@ __all__ = ["JobRequest", "JobResult", "execute_job"]
 class JobRequest:
     """One unit of work: a chase or an entailment question over a KB.
 
-    ``op`` is ``"entail"`` (requires ``query``) or ``"chase"``.
+    ``op`` is ``"entail"`` (requires a ``query`` string),
+    ``"batch_entail"`` (requires ``queries``, a nonempty list of
+    strings) or ``"chase"``.
     ``kb_text`` is the sectioned KB serialization
     (:func:`repro.logic.serialization.dump_kb`).  ``model_budget`` > 0
     additionally arms the finite-countermodel "no" side when the chase
@@ -121,12 +134,16 @@ class JobRequest:
     trace: Optional[dict] = None
 
     def dedup_key(self) -> tuple:
-        """The coalescing identity: everything that shapes the answer."""
+        """The coalescing identity: everything that shapes the answer.
+
+        The query fields enter as JSON text, so a request whose ``query``
+        or ``queries`` has the wrong type still gets a key (and then a
+        job error naming the field)."""
         return (
             self.op,
             self.kb_text,
-            self.query,
-            tuple(self.queries) if self.queries is not None else None,
+            json.dumps(self.query),
+            json.dumps(self.queries),
             self.variant,
             self.core_every,
             self.max_steps,
@@ -163,7 +180,7 @@ class JobRequest:
         if self.strategy is not None:
             obj["strategy"] = self.strategy
         if self.queries is not None:
-            obj["queries"] = list(self.queries)
+            obj["queries"] = self.queries
         if self.rewrite is not None:
             obj["rewrite"] = self.rewrite
         return obj
@@ -292,55 +309,41 @@ def _resolve_strategy(
 ) -> tuple:
     """Strategy resolution: an explicit per-request override wins, then
     planner routing (verdict → strategy, cached by ruleset fingerprint),
-    then the request's own chase configuration.  Returns the resolved
-    ``(strategy, variant, core_every, max_steps, model_budget,
-    ancestor_allowed, use_rewrite)``."""
-    strategy: Optional[Strategy] = None
+    then the request's own chase configuration.  Returns ``(strategy,
+    reported)``: the :class:`Strategy` to run, its ``rewrite`` replaced
+    by ``request.rewrite`` when that is set, and the one the result
+    names (None on the plain path)."""
+    reported: Optional[Strategy] = None
     if request.strategy is not None:
-        strategy = Strategy.from_obj(request.strategy)
+        reported = Strategy.from_obj(request.strategy)
     elif request.planner:
-        _, strategy, _ = default_planner().decide(kb, store=store)
-    variant = strategy.variant if strategy is not None else request.variant
-    core_every = (
-        strategy.core_every if strategy is not None else request.core_every
-    )
-    max_steps = (
-        strategy.max_steps if strategy is not None else request.max_steps
-    )
-    model_budget = (
-        strategy.model_budget if strategy is not None else request.model_budget
-    )
-    ancestor_allowed = (
-        strategy.ancestor_resume if strategy is not None else True
-    )
-    if request.rewrite is not None:
-        use_rewrite = request.rewrite
+        _, reported, _ = default_planner().decide(kb, store=store)
+    if reported is not None:
+        strategy = reported
     else:
-        use_rewrite = strategy.rewrite if strategy is not None else False
-    return (
-        strategy,
-        variant,
-        core_every,
-        max_steps,
-        model_budget,
-        ancestor_allowed,
-        use_rewrite,
-    )
+        strategy = Strategy(
+            name="request",
+            variant=request.variant,
+            core_every=request.core_every,
+            max_steps=request.max_steps,
+            model_budget=request.model_budget,
+        )
+    if request.rewrite is not None:
+        strategy = replace(strategy, rewrite=request.rewrite)
+    return strategy, reported
 
 
 def _restore_from_store(
     engine: ChaseEngine,
     kb,
     store: Optional[SnapshotStore],
-    variant: str,
-    core_every: int,
-    max_steps: int,
-    ancestor_allowed: bool,
+    strategy: Strategy,
 ) -> tuple:
     """Warm-start *engine* from the store if a usable snapshot exists.
 
     Returns ``(entry, resumed, ancestor, warm, prior)`` — the exact
     semantics documented on :func:`execute_job`."""
+    variant, core_every = strategy.variant, strategy.core_every
     entry = None
     ancestor = False
     if store is not None:
@@ -349,7 +352,7 @@ def _restore_from_store(
         # snapshot_access events land inside the snapshot_load span.
         with _span("snapshot_load", variant=variant):
             entry = store.load_entry(kb, variant, core_every)
-        if entry is None and store.ancestor_resume and ancestor_allowed:
+        if entry is None and strategy.ancestor_resume:
             # Exact miss: probe for the nearest ancestor whose facts are
             # a subset of this KB; resuming it plus the missing facts is
             # a fair-derivation prefix of the grown KB (the resolve gate
@@ -359,14 +362,14 @@ def _restore_from_store(
                     kb,
                     variant,
                     core_every,
-                    max_applications=max_steps,
+                    max_applications=strategy.max_steps,
                 )
             ancestor = entry is not None
     snapshot = entry.state if entry is not None else None
     # A snapshot deeper than this job's budget is left alone: resuming
     # it would answer for a larger budget than the client asked for
     # (and differ from the cold run the budget defines).
-    resumed = snapshot is not None and snapshot.applications <= max_steps
+    resumed = snapshot is not None and snapshot.applications <= strategy.max_steps
     if not resumed:
         ancestor = False
     warm = resumed and not ancestor
@@ -381,309 +384,173 @@ def _restore_from_store(
     return entry, resumed, ancestor, warm, prior
 
 
+def _query_texts(request: JobRequest) -> list:
+    """The Boolean CQ texts *request* asks about: none for ``chase``,
+    one for ``entail``, the request's list for ``batch_entail``."""
+    if request.op == "chase":
+        return []
+    if request.op == "entail":
+        if not request.query:
+            raise ValueError("entail jobs need a query")
+        if not isinstance(request.query, str):
+            raise ValueError("entail jobs need 'query' to be a string")
+        return [request.query]
+    if request.op == "batch_entail":
+        if not request.queries:
+            raise ValueError("batch_entail jobs need a nonempty 'queries' list")
+        if not isinstance(request.queries, list) or not all(
+            isinstance(text, str) for text in request.queries
+        ):
+            raise ValueError("batch_entail jobs need 'queries' to be a list of strings")
+        return request.queries
+    raise ValueError(f"unknown job op {request.op!r}")
+
+
 def _execute(
     request: JobRequest,
     store: Optional[SnapshotStore],
     observer: Optional[Observer],
 ) -> JobResult:
-    if request.op == "batch_entail":
-        return _execute_batch(request, store, observer)
-    if request.op not in ("chase", "entail"):
-        raise ValueError(f"unknown job op {request.op!r}")
+    """Answer the request's queries (none for ``chase``) in one pass.
+
+    The KB is parsed once, the snapshot loaded once, and at most ONE
+    chase runs — each step's instance is tested against every
+    still-open query, so the chase budget and the per-step
+    observability traffic are paid once however many queries there
+    are.  Only the shape of the result depends on the op."""
+    texts = _query_texts(request)
     kb = load_kb(request.kb_text)
-    query = None
-    if request.op == "entail":
-        if not request.query:
-            raise ValueError("entail jobs need a query")
-        query = boolean_cq(request.query)
-
-    (
-        strategy,
-        variant,
-        core_every,
-        max_steps,
-        model_budget,
-        ancestor_allowed,
-        use_rewrite,
-    ) = _resolve_strategy(request, kb, store)
-
-    if request.op == "entail" and use_rewrite:
-        # Backward-rewriting fast path: answer from the base facts with
-        # no chase when the cached plan is conclusive; fall through to
-        # the race otherwise (incomplete saturation, or a non-rewritable
-        # ruleset behind an explicit rewrite=True).
-        qplan = _plan_cache_for(store).plan_for(kb, query, observer=observer)
-        with _span("rewrite_eval", disjuncts=len(qplan.disjuncts)):
-            answer = qplan.evaluate(kb.facts)
-        if answer is not None:
-            return JobResult(
-                op=request.op,
-                entailed=answer,
-                method="ucq-rewrite-hit" if answer else "ucq-rewrite-miss",
-                strategy=strategy.name if strategy is not None else None,
-                atoms=len(kb.facts),
-            )
-
-    deadline = Deadline(request.timeout)
-    engine = ChaseEngine(
-        kb,
-        variant=variant,
-        core_every=core_every,
-        observer=observer,
-        use_index=request.use_index,
-    )
-
-    entry, resumed, ancestor, warm, prior = _restore_from_store(
-        engine, kb, store, variant, core_every, max_steps, ancestor_allowed
-    )
-    snapshot = entry.state if entry is not None else None
-
-    hit = [False]
-
-    def on_step(step) -> None:
-        if not hit[0] and query.holds_in(step.instance):
-            hit[0] = True
-
-    if request.op == "entail":
-        if resumed and query.holds_in(engine.current_instance):
-            hit[0] = True
-
-        def stopper() -> bool:
-            return hit[0] or deadline.expired()
-
-    else:
-        stopper = deadline.expired
-
-    step_hook = on_step if (query is not None and not hit[0]) else None
-    with _span("chase", variant=variant, warm=warm, ancestor=ancestor):
-        if resumed:
-            chase = engine.resume(
-                max_steps - prior, on_step=step_hook, should_stop=stopper
-            )
-        else:
-            chase = engine.run(
-                max_steps, on_step=step_hook, should_stop=stopper
-            )
-
-    new_apps = chase.applications
-    total = prior + new_apps
-    final = engine.current_instance
-    expired = chase.stopped and not hit[0]
-
-    if store is not None and (
-        snapshot is None or ancestor or total > snapshot.applications
-    ):
-        # Resumed saves pass the loaded entry back so the store appends
-        # a delta record to its chain instead of writing a full blob;
-        # an ancestor save files the grown KB's own (new) key, its
-        # chain sharing the ancestor's records.
-        with _span("snapshot_save"):
-            store.save(
-                kb, engine.export_state(), parent=entry if resumed else None
-            )
-
-    result = JobResult(
-        op=request.op,
-        warm=warm,
-        ancestor=ancestor,
-        strategy=strategy.name if strategy is not None else None,
-        applications=new_apps,
-        total_applications=total,
-        atoms=len(final),
-        terminated=chase.terminated,
-        deadline_expired=expired,
-        incomplete=expired,
-    )
-
-    if request.op == "chase":
-        result.method = "chase-deadline" if expired else "chase"
-        result.instance = [str(at) for at in final.sorted_atoms()]
-        return result
-
-    if hit[0]:
-        result.entailed = True
-        if new_apps == 0 and warm:
-            result.method = "warm-snapshot-hit"
-        elif new_apps == 0 and ancestor:
-            result.method = "ancestor-snapshot-hit"
-        else:
-            result.method = "chase-prefix-hit"
-        result.incomplete = False
-    elif chase.terminated:
-        result.entailed = False
-        result.method = "chase-fixpoint-miss"
-    elif expired:
-        result.entailed = None
-        result.method = "deadline-expired"
-    elif model_budget > 0 and not deadline.expired():
-        with _span("countermodel", budget=model_budget):
-            counter = find_countermodel(
-                kb, query, max_domain=model_budget
-            )
-        if counter.found:
-            result.entailed = False
-            result.method = "finite-countermodel"
-        else:
-            result.entailed = None
-            result.method = "race-undecided"
-    else:
-        result.entailed = None
-        result.method = "chase-budget-exhausted"
-    return result
-
-
-def _execute_batch(
-    request: JobRequest,
-    store: Optional[SnapshotStore],
-    observer: Optional[Observer],
-) -> JobResult:
-    """Evaluate many *distinct* Boolean CQs against one loaded snapshot.
-
-    Complements the server's in-flight dedup (identical queries share
-    one job): the KB is parsed once, the snapshot loaded once, and ONE
-    chase runs — each step's instance is tested against every still-open
-    query, so the chase budget and the per-step observability traffic
-    are paid once for the whole batch.  Rewritable queries are answered
-    straight from the base facts by their cached plans and never touch
-    the chase at all.  Per-query verdicts use the same methods as the
-    single-query path.
-    """
-    if not request.queries:
-        raise ValueError("batch_entail jobs need a nonempty 'queries' list")
-    kb = load_kb(request.kb_text)
-    queries = [boolean_cq(text) for text in request.queries]
-
-    (
-        strategy,
-        variant,
-        core_every,
-        max_steps,
-        model_budget,
-        ancestor_allowed,
-        use_rewrite,
-    ) = _resolve_strategy(request, kb, store)
+    queries = [boolean_cq(text) for text in texts]
+    strategy, reported = _resolve_strategy(request, kb, store)
 
     verdicts: list = [None] * len(queries)
     open_queries = set(range(len(queries)))
 
-    def settle(index: int, entailed, method: str, steps: int, **extra) -> None:
+    def settle(
+        index: int, entailed, method: str, steps: int, incomplete: bool = False
+    ) -> None:
         verdicts[index] = {
-            "query": request.queries[index],
+            "query": texts[index],
             "entailed": entailed,
             "method": method,
             "chase_steps": steps,
-            "incomplete": bool(extra.get("incomplete", False)),
+            "incomplete": incomplete,
         }
         open_queries.discard(index)
 
-    if use_rewrite:
+    if strategy.rewrite:
+        # Backward-rewriting fast path: a query whose cached plan is
+        # conclusive is answered from the base facts with no chase; the
+        # rest fall through to the race (incomplete saturation, or a
+        # non-rewritable ruleset behind an explicit rewrite=True).
         plan_cache = _plan_cache_for(store)
         for i, query in enumerate(queries):
             qplan = plan_cache.plan_for(kb, query, observer=observer)
             with _span("rewrite_eval", disjuncts=len(qplan.disjuncts)):
                 answer = qplan.evaluate(kb.facts)
             if answer is not None:
-                settle(
-                    i,
-                    answer,
-                    "ucq-rewrite-hit" if answer else "ucq-rewrite-miss",
-                    0,
-                )
+                method = "ucq-rewrite-hit" if answer else "ucq-rewrite-miss"
+                settle(i, answer, method, 0)
 
     deadline = Deadline(request.timeout)
-    new_apps = 0
-    total = 0
-    terminated = False
-    expired = False
-    warm = ancestor = False
-    final_atoms = len(kb.facts)
+    warm = ancestor = terminated = expired = False
+    new_apps = total = 0
+    final = kb.facts
 
-    if open_queries:
+    if open_queries or not queries:
         engine = ChaseEngine(
             kb,
-            variant=variant,
-            core_every=core_every,
+            variant=strategy.variant,
+            core_every=strategy.core_every,
             observer=observer,
             use_index=request.use_index,
         )
         entry, resumed, ancestor, warm, prior = _restore_from_store(
-            engine, kb, store, variant, core_every, max_steps, ancestor_allowed
+            engine, kb, store, strategy
         )
-        snapshot = entry.state if entry is not None else None
         if resumed:
             restored = engine.current_instance
+            method = "warm-snapshot-hit" if warm else "ancestor-snapshot-hit"
             for i in sorted(open_queries):
                 if queries[i].holds_in(restored):
-                    settle(
-                        i,
-                        True,
-                        "warm-snapshot-hit" if warm else "ancestor-snapshot-hit",
-                        prior,
-                    )
+                    settle(i, True, method, prior)
 
         def on_step(step) -> None:
             for i in sorted(open_queries):
                 if queries[i].holds_in(step.instance):
                     settle(i, True, "chase-prefix-hit", prior + step.index)
 
-        def stopper() -> bool:
-            return not open_queries or deadline.expired()
+        def settled() -> bool:
+            # A chase job has nothing to settle: only its budget, the
+            # fixpoint or the deadline ends it.
+            return bool(queries) and not open_queries
 
-        with _span("chase", variant=variant, warm=warm, ancestor=ancestor):
-            if resumed:
-                chase = engine.resume(
-                    max_steps - prior, on_step=on_step, should_stop=stopper
-                )
-            else:
-                chase = engine.run(
-                    max_steps, on_step=on_step, should_stop=stopper
-                )
+        def stopper() -> bool:
+            return settled() or deadline.expired()
+
+        step_hook = on_step if open_queries else None
+        advance = engine.resume if resumed else engine.run
+        with _span("chase", variant=strategy.variant, warm=warm, ancestor=ancestor):
+            chase = advance(
+                strategy.max_steps - prior, on_step=step_hook, should_stop=stopper
+            )
         new_apps = chase.applications
         total = prior + new_apps
         terminated = chase.terminated
-        expired = chase.stopped and bool(open_queries)
+        expired = chase.stopped and not settled()
         final = engine.current_instance
-        final_atoms = len(final)
 
+        snapshot = entry.state if entry is not None else None
         if store is not None and (
             snapshot is None or ancestor or total > snapshot.applications
         ):
+            # Resumed saves pass the loaded entry back so the store appends
+            # a delta record to its chain instead of writing a full blob;
+            # an ancestor save files the grown KB's own (new) key, its
+            # chain sharing the ancestor's records.
             with _span("snapshot_save"):
                 store.save(
-                    kb,
-                    engine.export_state(),
-                    parent=entry if resumed else None,
+                    kb, engine.export_state(), parent=entry if resumed else None
                 )
 
-        for i in sorted(open_queries):
-            if terminated:
-                # The fixpoint is a finite universal model: every open
-                # query is exactly refuted by it at once.
-                settle(i, False, "chase-fixpoint-miss", total)
-            elif expired:
-                settle(i, None, "deadline-expired", total, incomplete=True)
-            elif model_budget > 0 and not deadline.expired():
-                with _span("countermodel", budget=model_budget):
-                    counter = find_countermodel(
-                        kb, queries[i], max_domain=model_budget
-                    )
-                if counter.found:
-                    settle(i, False, "finite-countermodel", total)
-                else:
-                    settle(i, None, "race-undecided", total)
+    for i in sorted(open_queries):
+        if terminated:
+            # The fixpoint is a finite universal model: every open
+            # query is exactly refuted by it at once.
+            settle(i, False, "chase-fixpoint-miss", total)
+        elif expired:
+            settle(i, None, "deadline-expired", total, incomplete=True)
+        elif strategy.model_budget > 0 and not deadline.expired():
+            with _span("countermodel", budget=strategy.model_budget):
+                counter = find_countermodel(
+                    kb, queries[i], max_domain=strategy.model_budget
+                )
+            if counter.found:
+                settle(i, False, "finite-countermodel", total)
             else:
-                settle(i, None, "chase-budget-exhausted", total)
+                settle(i, None, "race-undecided", total)
+        else:
+            settle(i, None, "chase-budget-exhausted", total)
 
-    return JobResult(
+    result = JobResult(
         op=request.op,
         warm=warm,
         ancestor=ancestor,
-        strategy=strategy.name if strategy is not None else None,
+        strategy=reported.name if reported is not None else None,
         applications=new_apps,
         total_applications=total,
-        atoms=final_atoms,
+        atoms=len(final),
         terminated=terminated,
         deadline_expired=expired,
-        incomplete=any(v.get("incomplete") for v in verdicts if v),
-        results=verdicts,
+        incomplete=expired,
     )
+    if request.op == "chase":
+        result.method = "chase-deadline" if expired else "chase"
+        result.instance = [str(at) for at in final.sorted_atoms()]
+    elif request.op == "entail":
+        (verdict,) = verdicts
+        result.entailed = verdict["entailed"]
+        result.method = verdict["method"]
+    else:
+        result.results = verdicts
+    return result

@@ -443,7 +443,6 @@ class SnapshotStore:
         max_bytes: Optional[int] = None,
         tmp_grace_seconds: float = TMP_ORPHAN_GRACE,
         max_chain_depth: int = DEFAULT_MAX_CHAIN_DEPTH,
-        ancestor_resume: bool = True,
     ):
         self.root = pathlib.Path(root)
         self.objects = self.root / _OBJECTS_DIR
@@ -451,7 +450,6 @@ class SnapshotStore:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.max_chain_depth = max(1, int(max_chain_depth))
-        self.ancestor_resume = ancestor_resume
         self.tmp_grace_seconds = tmp_grace_seconds
         #: saves after which a bound could not be met because eviction
         #: never removes the most-recently-written snapshot
@@ -1096,8 +1094,6 @@ class SnapshotStore:
         fine — the common serving case (new ground facts about known
         entities) always qualifies.
         """
-        if not self.ancestor_resume:
-            return None
         started = time.perf_counter()
         incoming = {
             hashlib.sha256(str(atom).encode()).hexdigest()[:16]: atom

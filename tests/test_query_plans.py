@@ -24,6 +24,70 @@ from repro.service.snapshots import SnapshotStore
 
 MANAGERS = dump_kb(manager_kb())
 TC = dump_kb(transitive_closure_kb(3))
+CHAIN = dump_kb(transitive_closure_kb(5))
+#: CHAIN with one appended edge: its chase resumes from CHAIN's snapshot.
+CHAIN_GROWN = CHAIN.replace("[facts]", "[facts]\ne(v5, v6)", 1)
+
+#: One entry per way the job path settles a query: (id, the method the
+#: entail job must report, its request fields, the fields of a chase
+#: that primes the job's store first or None).
+ROUTES = [
+    ("prefix-hit", "chase-prefix-hit", {"kb_text": TC, "query": "e(v0, v2)"}, None),
+    ("fixpoint-miss", "chase-fixpoint-miss", {"kb_text": TC, "query": "e(v2, v0)"}, None),
+    (
+        "budget-exhausted",
+        "chase-budget-exhausted",
+        {"kb_text": MANAGERS, "query": "mgr(ann, ann)", "max_steps": 5},
+        None,
+    ),
+    (
+        "finite-countermodel",
+        "finite-countermodel",
+        {"kb_text": MANAGERS, "query": "mgr(ann, ann)", "max_steps": 5, "model_budget": 4},
+        None,
+    ),
+    (
+        "race-undecided",
+        "race-undecided",
+        {
+            "kb_text": MANAGERS,
+            "query": "mgr(X, Y), mgr(Y, Z), mgr(Z, W)",
+            "max_steps": 1,
+            "model_budget": 2,
+        },
+        None,
+    ),
+    (
+        "deadline-expired",
+        "deadline-expired",
+        {
+            "kb_text": dump_kb(transitive_closure_kb(6)),
+            "query": "e(v6, v0)",
+            "timeout": 0.0,
+            "max_steps": 500,
+        },
+        None,
+    ),
+    ("warm-hit", "warm-snapshot-hit", {"kb_text": TC, "query": "e(v0, v3)"}, {"kb_text": TC}),
+    (
+        "ancestor-hit",
+        "ancestor-snapshot-hit",
+        {"kb_text": CHAIN_GROWN, "query": "e(v0, v5)"},
+        {"kb_text": CHAIN},
+    ),
+    (
+        "rewrite-hit",
+        "ucq-rewrite-hit",
+        {"kb_text": MANAGERS, "query": "mgr(X, Y)", "rewrite": True},
+        None,
+    ),
+    (
+        "rewrite-miss",
+        "ucq-rewrite-miss",
+        {"kb_text": MANAGERS, "query": "nosuch(X)", "rewrite": True},
+        None,
+    ),
+]
 
 
 class TestQueryShape:
@@ -193,6 +257,39 @@ class TestBatchEntailJob:
             )
             assert row["entailed"] == single.entailed, row["query"]
 
+    @pytest.mark.parametrize(
+        "method, fields, prime", [route[1:] for route in ROUTES], ids=[r[0] for r in ROUTES]
+    )
+    def test_one_query_batch_matches_entail_job(self, tmp_path, method, fields, prime):
+        results = {}
+        for op in ("entail", "batch_entail"):
+            store = SnapshotStore(tmp_path / op)
+            if prime is not None:
+                assert execute_job(JobRequest(op="chase", **prime), store).ok
+            request = dict(fields)
+            if op == "batch_entail":
+                request["queries"] = [request.pop("query")]
+            results[op] = execute_job(JobRequest(op=op, **request), store)
+        single, batch = results["entail"], results["batch_entail"]
+        assert single.ok and batch.ok, (single.error, batch.error)
+        assert single.method == method
+        (row,) = batch.results
+        assert (row["entailed"], row["method"], row["incomplete"]) == (
+            single.entailed,
+            single.method,
+            single.incomplete,
+        )
+        for name in (
+            "warm",
+            "ancestor",
+            "applications",
+            "total_applications",
+            "atoms",
+            "terminated",
+            "deadline_expired",
+        ):
+            assert getattr(batch, name) == getattr(single, name), name
+
     def test_batch_reuses_warm_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path)
         chase = JobRequest(op="chase", kb_text=TC, max_steps=200)
@@ -218,6 +315,23 @@ class TestBatchEntailJob:
         )
         assert not result.ok
         assert "queries" in result.error
+
+    def test_string_queries_is_error_result(self):
+        # A string is not split into one-character queries.
+        result = execute_job(
+            JobRequest(
+                op="batch_entail",
+                kb_text=dump_kb(transitive_closure_kb(2)),
+                queries="ep",
+            )
+        )
+        assert not result.ok
+        assert "queries" in result.error
+
+    def test_list_query_is_error_result(self):
+        result = execute_job(JobRequest(op="entail", kb_text=TC, query=["e(v0, v3)"]))
+        assert not result.ok
+        assert "query" in result.error
 
     def test_expired_deadline_leaves_open_queries_incomplete(self):
         result = execute_job(
@@ -338,3 +452,29 @@ class TestServerBatchOp:
         query_stats = stats["query"]
         assert query_stats["plan_lookups"] >= 2
         assert query_stats["rewrites"] >= 1
+
+    def test_malformed_query_fields_over_the_wire(self, tmp_path):
+        # A string is not split into one-character queries on its way
+        # to the worker, and a list query is a job error naming the
+        # field, not an internal error of the server's dedup.
+        from tests.test_service_server import (
+            request_lines,
+            shut_down,
+            start_server,
+        )
+
+        async def scenario():
+            server, executor, task = await start_server(tmp_path)
+            responses = await request_lines(
+                server.port,
+                [
+                    {"op": "batch_entail", "kb_text": TC, "queries": "ep", "id": "s"},
+                    {"op": "entail", "kb_text": TC, "query": ["e(v0, v3)"], "id": "l"},
+                ],
+            )
+            await shut_down(server, executor, task)
+            return {response["id"]: response for response in responses}
+
+        by_id = asyncio.run(scenario())
+        assert not by_id["s"]["ok"] and "queries" in by_id["s"]["error"]
+        assert not by_id["l"]["ok"] and "'query'" in by_id["l"]["error"]

@@ -23,7 +23,7 @@ from repro.obs.spans import read_trace_dir
 from repro.service.executor import (
     JobExecutor,
     RetryPolicy,
-    _run_job_local,
+    _run_job,
     is_transient,
 )
 from repro.service.faults import FaultPlan
@@ -107,15 +107,17 @@ class TestInProcessExecutor:
 
 class TestWorkerBody:
     def test_run_job_local_returns_result_and_metrics(self, tmp_path):
-        result_obj, metrics = _run_job_local(
-            entail_request().to_obj(), str(tmp_path)
+        result_obj, metrics = _run_job(
+            entail_request().to_obj(), str(tmp_path), in_process=True
         )
         assert result_obj["ok"]
         assert result_obj["entailed"] is True
         assert metrics["chase.steps"]["value"] > 0
 
     def test_run_job_local_without_store(self):
-        result_obj, metrics = _run_job_local(entail_request().to_obj(), None)
+        result_obj, metrics = _run_job(
+            entail_request().to_obj(), None, in_process=True
+        )
         assert result_obj["ok"] and not result_obj["warm"]
 
 

@@ -355,14 +355,29 @@ class TestAncestorResume:
         assert second.instance == first.instance
 
     def test_ancestor_resume_can_be_disabled(self, tmp_path):
-        store = SnapshotStore(tmp_path, ancestor_resume=False)
-        execute_job(
-            JobRequest(op="chase", kb_text=CHAIN, max_steps=200), store
-        )
-        incr = execute_job(
-            JobRequest(op="chase", kb_text=CHAIN_GROWN, max_steps=200), store
-        )
-        assert not incr.ancestor and not incr.warm
+        # The strategy's flag is the one switch: a request opts out with
+        # an override that sets it false; the same override with it true
+        # is the positive control.
+        grown = {}
+        for allowed in (False, True):
+            store = SnapshotStore(tmp_path / str(allowed))
+            execute_job(
+                JobRequest(op="chase", kb_text=CHAIN, max_steps=200), store
+            )
+            strategy = {
+                "variant": "restricted",
+                "core_every": 1,
+                "max_steps": 200,
+                "model_budget": 0,
+                "ancestor_resume": allowed,
+            }
+            grown[allowed] = execute_job(
+                JobRequest(op="chase", kb_text=CHAIN_GROWN, strategy=strategy),
+                store,
+            )
+        assert not grown[False].ancestor and not grown[False].warm
+        assert grown[True].ancestor
+        assert grown[True].instance == grown[False].instance
 
     def test_too_deep_ancestor_not_used_for_small_budget(self, tmp_path):
         store = SnapshotStore(tmp_path)
