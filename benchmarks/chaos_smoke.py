@@ -226,8 +226,9 @@ def _summaries_close(live, offline, tolerance=1e-6):
 def verify_traces(trace_dir, stats):
     """Merge the run's span files, archive them, and prove the tracing
     claims: every event matches its event-table entry, the
-    killed-and-retried request is one causal timeline, and live stats
-    percentiles equal offline span-derived ones."""
+    killed-and-retried request is one causal timeline, live stats
+    percentiles equal offline span-derived ones, and the service totals
+    ``repro stats`` replays from the trace equal the live metrics."""
     from repro.obs import schema_errors
     from repro.obs.spans import (
         build_trace,
@@ -235,6 +236,7 @@ def verify_traces(trace_dir, stats):
         read_trace_dir,
         trace_ids,
     )
+    from repro.obs.stats import ROWS, summarize_trace
 
     events, skipped = read_trace_dir(trace_dir)
     assert events, f"no trace events under {trace_dir}"
@@ -295,6 +297,31 @@ def verify_traces(trace_dir, stats):
         f"offline={json.dumps(offline, indent=2)}"
     )
     print("live stats percentiles == offline span-derived percentiles")
+
+    # The service totals a service.* metric feeds count server-side
+    # events only (service_request, service_job), so the killed worker's
+    # lost metrics snapshot cannot skew them: replayed from the merged
+    # trace they must equal the server's final stats-op metrics.
+    metrics = stats.get("metrics", {})
+
+    def live(name):
+        return metrics.get(name, {}).get("value", 0)
+
+    expected = {
+        row.key: live(row.source)
+        for row in ROWS
+        if row.section == "service"
+        and isinstance(row.source, str)
+        and row.source.startswith("service.")
+    }
+    expected["ok"] = live("service.jobs") - live("service.job_errors")
+    service = summarize_trace(events)["service"]
+    replayed = {key: service[key] for key in expected}
+    assert replayed == expected, (
+        "repro stats service totals diverge from the live metrics:\n"
+        f"replayed={replayed}\nlive={expected}"
+    )
+    print(f"replayed service totals == live stats metrics ({', '.join(expected)})")
     return offline
 
 

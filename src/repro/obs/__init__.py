@@ -25,7 +25,9 @@ exposes them as first-class data instead of burying them in a final
   cross-process trace merging (:func:`read_trace_dir`) and the shared
   latency-percentile machinery behind the server's ``stats`` op and
   ``repro trace`` / ``repro top``;
-* :mod:`repro.obs.stats` — trace replay into summary series and tables
+* :mod:`repro.obs.stats` — trace replay into summary series and tables:
+  every total is read back from the metrics the trace replays into, so
+  ``repro stats`` and the live ``stats`` op count with the same updates
   (imported separately, ``from repro.obs import stats``, because it
   pulls in :mod:`repro.util`).
 

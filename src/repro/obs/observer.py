@@ -94,18 +94,25 @@ def _chase_step_finished(reg, f):
 
 
 def _core_retraction(reg, f):
+    folded = f["atoms_before"] - f["atoms_after"]
     reg.counter("core.retractions").inc()
+    if folded > 0:
+        reg.counter("core.proper_retractions").inc()
+    reg.counter("core.atoms_folded").inc(folded)
     reg.counter("core.variables_folded").inc(f["variables_folded"])
     reg.timer("core.time").record(f["seconds"])
 
 
 def _core_maintenance(reg, f):
     reg.counter("core.maintained").inc()
-    for name in ("skip_hits", "candidates_tried", "pairs_checked",
-                 "cert_invalidated"):
+    if f["mode"] == "incremental":
+        reg.counter("core.incremental").inc()
+    for name in ("skip_hits", "candidates_tried", "seeded_searches",
+                 "pairs_checked", "cert_invalidated"):
         reg.counter(f"core.{name}").inc(f[name])
     if f["clean_broken"]:
         reg.counter("core.clean_broken").inc()
+    reg.timer("core.maintenance_time").record(f["seconds"])
 
 
 def _homomorphism_search(reg, f):
@@ -200,6 +207,8 @@ def _snapshot_access(reg, f):
 def _treewidth_search(reg, f):
     reg.counter("tw.searches").inc()
     reg.counter("tw.budget_consumed").inc(f["budget_consumed"])
+    if f["verdict"] is None:
+        reg.counter("tw.exhausted").inc()
 
 
 def _robust_step(reg, f):

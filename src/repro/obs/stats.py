@@ -6,6 +6,14 @@ series of Section 7 (``repro stats run.jsonl``) without re-running
 anything.  The benchmark harness and future perf PRs consume
 :func:`summarize_trace` directly.
 
+Every total is counted once, by the metric updates of
+:data:`~repro.obs.observer.EVENTS`: :func:`summarize_trace` replays the
+trace through a :class:`~repro.obs.tracer.MetricsObserver` into a fresh
+registry and reads the totals back from it, so ``repro stats`` and the
+live ``stats`` op count with the same code.  One row table,
+:data:`ROWS`, lays the totals out for both the summary dict and the
+Totals table.
+
 (Kept out of ``repro.obs.__init__`` because it imports
 :mod:`repro.util`, which sits above the logic layer the observer hooks
 live in.)
@@ -13,21 +21,27 @@ live in.)
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import Counter
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from ..util.reporting import Table
+from .metrics import MetricsRegistry
 from .observer import EVENT_KINDS, schema_errors
 from .spans import latency_summary, percentile as _percentile, trace_ids
+from .tracer import MetricsObserver
 
 __all__ = [
+    "ROWS",
+    "Row",
     "drop_malformed",
     "summarize_trace",
     "retraction_series",
     "render_summary",
 ]
 
-#: The kinds :func:`summarize_trace` reads fields from; the others are
-#: only counted.
+#: The kinds whose fields the summary's totals, series and latencies
+#: come from; :func:`drop_malformed` drops and reports their malformed
+#: events.  The others are only counted.
 AGGREGATED_KINDS = (
     "chase_step_finished", "core_retraction", "core_maintenance",
     "homomorphism_search", "treewidth_search", "robust_step",
@@ -74,232 +88,232 @@ def retraction_series(events: Iterable[dict]) -> list[dict]:
     return series
 
 
+class _Replay(NamedTuple):
+    """What a row of :data:`ROWS` can read besides its section."""
+
+    #: Counters and gauges by value, timers and histograms by total;
+    #: 0 for a metric the trace never fed.
+    metrics: Counter
+    #: Events per kind, every kind of the table included.
+    counts: dict
+    series: list
+    #: ``(op, warm, ok, seconds)`` per ``service_job`` event.
+    jobs: list
+    #: Sorted latencies of the successful and of the failed jobs: the
+    #: percentiles need raw values, not the registry's buckets.  Failed
+    #: and retried jobs carry retry-inflated latencies (backoff and a
+    #: re-run included); folding them into the headline percentiles
+    #: would poison the SLO, so they get rows of their own.
+    ok: list
+    failed: list
+
+
+def _ratio(part: str, *whole: str):
+    """A row source: ``part`` over the sum of ``whole`` in the section,
+    None when that sum is 0."""
+
+    def source(section: dict, replay: _Replay):
+        total = sum(section[key] for key in whole)
+        return section[part] / total if total else None
+
+    return source
+
+
+def _strategies(section: dict, replay: _Replay) -> dict:
+    prefix = "planner.strategy."
+    return {
+        name[len(prefix):]: n
+        for name, n in replay.metrics.items()
+        if name.startswith(prefix)
+    }
+
+
+class Row(NamedTuple):
+    """One total of the summary, and its row in the Totals table."""
+
+    section: str
+    key: str
+    #: A metric name, or a function of the section so far and the
+    #: :class:`_Replay`.
+    source: Union[str, Callable[[dict, _Replay], object]]
+    #: The Totals row's label; None keeps the total in the JSON only.
+    #: A dict total is listed as one ``label key`` row per key.
+    label: Optional[str] = None
+    #: Rounding for the Totals row.
+    digits: Optional[int] = None
+    #: Keys of the section one of which must be nonzero for the Totals
+    #: table to list the row; None lists it always.  A None value is
+    #: never listed.
+    shown: Optional[tuple] = None
+
+
+_SNAPSHOTS = ("snapshot_loads", "snapshot_saves")
+_FAILED = ("failed_jobs",)
+
+#: Every total of :func:`summarize_trace`, in summary and Totals order.
+ROWS = (
+    Row("chase", "steps", "chase.steps", "applications"),
+    Row("chase", "retractions", "chase.retractions", "retractions"),
+    Row("chase", "atoms_retracted", "chase.atoms_retracted", "atoms retracted"),
+    Row("chase", "final_atoms", lambda s, r: r.series[-1]["atoms"] if r.series else None),
+    Row("chase", "series", lambda s, r: r.series),
+    Row("core", "calls", "core.retractions", "retraction calls"),
+    Row("core", "proper", "core.proper_retractions", "proper retractions"),
+    Row("core", "atoms_folded", "core.atoms_folded", "atoms folded"),
+    Row("core", "variables_folded", "core.variables_folded", "variables folded"),
+    Row("core", "seconds", "core.time"),
+    Row("core_maintenance", "calls", "core.maintained", "calls"),
+    Row("core_maintenance", "incremental", "core.incremental", "incremental"),
+    Row("core_maintenance", "candidates_tried", "core.candidates_tried", "candidates tried"),
+    Row("core_maintenance", "skip_hits", "core.skip_hits", "skip hits"),
+    Row("core_maintenance", "skip_hit_ratio",
+        _ratio("skip_hits", "candidates_tried", "skip_hits"), "skip-hit ratio", 4),
+    Row("core_maintenance", "candidates_per_step",
+        _ratio("candidates_tried", "calls"), "candidates per step", 2),
+    Row("core_maintenance", "seeded_searches", "core.seeded_searches"),
+    Row("core_maintenance", "pairs_checked", "core.pairs_checked", "pairs checked"),
+    Row("core_maintenance", "cert_invalidated", "core.cert_invalidated", "certs invalidated"),
+    Row("core_maintenance", "clean_broken", "core.clean_broken"),
+    Row("core_maintenance", "seconds", "core.maintenance_time"),
+    Row("homomorphism", "searches", "hom.searches", "searches"),
+    Row("homomorphism", "found", "hom.found", "found"),
+    Row("homomorphism", "backtracks", "hom.backtracks", "backtracks"),
+    Row("homomorphism", "seconds", "hom.time", "seconds", 4),
+    Row("treewidth", "searches", "tw.searches", "searches"),
+    Row("treewidth", "budget_consumed", "tw.budget_consumed", "budget consumed"),
+    Row("treewidth", "exhausted", "tw.exhausted", "budget exhaustions"),
+    Row("robust", "steps", "robust.steps", "steps"),
+    Row("robust", "renamed", "robust.renamed", "variables renamed"),
+    Row("planner", "decisions",
+        lambda s, r: r.metrics["planner.verdicts"] + r.metrics["planner.cache_hits"],
+        "decisions"),
+    Row("planner", "computed", "planner.verdicts", "verdicts computed"),
+    Row("planner", "cache_hits", "planner.cache_hits", "cache hits"),
+    Row("planner", "cache_hit_ratio", _ratio("cache_hits", "decisions"), "cache-hit ratio", 4),
+    Row("planner", "strategies", _strategies, "strategy"),
+    Row("query", "plan_lookups", "query.plan_lookups", "plan lookups"),
+    Row("query", "rewrites", "query.rewrites", "rewrites computed"),
+    Row("query", "plan_cache_hits", "query.plan_cache_hits", "plan-cache hits"),
+    Row("query", "computed", lambda s, r: s["plan_lookups"] - s["plan_cache_hits"]),
+    Row("query", "plan_cache_hit_ratio",
+        _ratio("plan_cache_hits", "plan_lookups"), "plan-cache hit ratio", 4),
+    Row("query", "disjuncts_pruned", "query.disjuncts_pruned", "disjuncts pruned"),
+    Row("query", "fallbacks", "query.rewrite_fallbacks", "race fallbacks"),
+    Row("service", "requests", "service.requests", "requests"),
+    Row("service", "coalesced", "service.coalesced", "coalesced"),
+    Row("service", "jobs", "service.jobs", "jobs"),
+    Row("service", "ok", lambda s, r: s["jobs"] - r.metrics["service.job_errors"], "ok"),
+    Row("service", "warm_hits", "service.warm_hits", "warm hits"),
+    Row("service", "warm_hit_ratio", _ratio("warm_hits", "jobs"), "warm-hit ratio", 4),
+    Row("service", "incomplete", "service.incomplete", "incomplete"),
+    Row("service", "deadline_expired", "service.deadline_expired", "deadline expired"),
+    Row("service", "retries", lambda s, r: r.counts["service_retry"], "retries",
+        shown=("retries",)),
+    Row("service", "pool_rebuilds", lambda s, r: r.counts["service_pool_rebuild"],
+        "pool rebuilds", shown=("pool_rebuilds",)),
+    Row("service", "applications", "service.applications", "applications"),
+    Row("service", "seconds", lambda s, r: sum(r.ok) + sum(r.failed)),
+    Row("service", "latency_p50", lambda s, r: _percentile(r.ok, 0.50), "latency p50 (s)", 6),
+    Row("service", "latency_p95", lambda s, r: _percentile(r.ok, 0.95), "latency p95 (s)", 6),
+    Row("service", "latency_p99", lambda s, r: _percentile(r.ok, 0.99), "latency p99 (s)", 6),
+    Row("service", "failed_jobs", "service.job_errors", "failed jobs", shown=_FAILED),
+    Row("service", "failed_latency_p50", lambda s, r: _percentile(r.failed, 0.50),
+        "failed latency p50 (s)", 6, _FAILED),
+    Row("service", "failed_latency_p95", lambda s, r: _percentile(r.failed, 0.95),
+        "failed latency p95 (s)", 6, _FAILED),
+    Row("service", "latency", lambda s, r: latency_summary(r.jobs)),
+    Row("service", "snapshot_loads", "snapshot.loads", "snapshot loads", shown=_SNAPSHOTS),
+    Row("service", "snapshot_load_hits", "snapshot.hits", "snapshot load hits",
+        shown=_SNAPSHOTS),
+    Row("service", "snapshot_saves", "snapshot.saves", "snapshot saves", shown=_SNAPSHOTS),
+    Row("service", "snapshot_corrupt", "snapshot.corrupt", "snapshots discarded corrupt",
+        shown=("snapshot_corrupt",)),
+    Row("service", "snapshot_evicted", "snapshot.evicted", "snapshots evicted (LRU)",
+        shown=("snapshot_evicted",)),
+    Row("service", "snapshot_ancestor_probes", "snapshot.ancestor_probes", "ancestor probes",
+        shown=("snapshot_ancestor_probes",)),
+    Row("service", "snapshot_ancestor_hits", "snapshot.ancestor_hits", "ancestor hits",
+        shown=("snapshot_ancestor_probes",)),
+    Row("service", "snapshot_chain_broken", "snapshot.chain_broken", "snapshot chains broken",
+        shown=("snapshot_chain_broken",)),
+    Row("service", "snapshot_bytes_saved", "snapshot.bytes_saved",
+        "snapshot bytes saved (delta vs full)", shown=("snapshot_bytes_saved",)),
+)
+
+#: The Totals table lists a section's rows only when one of these keys
+#: is nonzero (``chase`` always).
+_SECTION_SHOWN = {
+    "core": ("calls",),
+    "core_maintenance": ("calls",),
+    "homomorphism": ("searches",),
+    "treewidth": ("searches",),
+    "robust": ("steps",),
+    "planner": ("decisions",),
+    "query": ("plan_lookups",),
+    "service": ("jobs", "requests"),
+}
+
+
 def summarize_trace(events: Iterable[dict]) -> dict:
     """Aggregate a trace into a plain-dict summary.
 
     *events* must hold every field the aggregated kinds require; pass a
-    trace read from outside through :func:`drop_malformed` first.
+    trace read from outside through :func:`drop_malformed` first.  Every
+    event that conforms to the event table is replayed through its
+    metric update; one that does not is counted but not replayed.
 
-    Returns a dict with ``counts`` (events per kind), ``traces``
-    (distinct trace ids seen), ``chase`` (step totals plus the per-step
-    ``series``), per-subsystem totals for ``core``, ``core_maintenance``
-    (skip-hit ratio, candidates tried per step), ``homomorphism``,
-    ``treewidth`` and ``robust``, and a ``service`` section whose
-    headline ``latency_p50/p95/p99`` cover **successful jobs only**
-    (failed/retried jobs get ``failed_latency_*`` rows of their own)
-    with a per-op ``latency`` breakdown from
+    Returns a dict with ``events`` and ``counts`` (events per kind),
+    ``traces`` (distinct trace ids seen), and one section per subsystem
+    laid out by :data:`ROWS`: ``chase`` (step totals plus the per-step
+    ``series``), ``core``, ``core_maintenance`` (skip-hit ratio,
+    candidates tried per step), ``homomorphism``, ``treewidth``,
+    ``robust``, ``planner``, ``query`` and ``service``, whose headline
+    ``latency_p50/p95/p99`` cover **successful jobs only** (failed and
+    retried jobs get ``failed_latency_*`` rows of their own) with a
+    per-op ``latency`` breakdown from
     :func:`repro.obs.spans.latency_summary`.
     """
     events = list(events)
-    counts = {kind: 0 for kind in EVENT_KINDS}
+    counts = dict.fromkeys(EVENT_KINDS, 0)
+    registry = MetricsRegistry()
+    observer = MetricsObserver(registry)
     for event in events:
         kind = event.get("kind", "?")
         counts[kind] = counts.get(kind, 0) + 1
-    counts = {kind: n for kind, n in counts.items() if n}
-
-    series = retraction_series(events)
-    chase = {
-        "steps": len(series),
-        "retractions": sum(1 for row in series if row["retracted"] > 0),
-        "atoms_retracted": sum(
-            row["retracted"] for row in series if row["retracted"] > 0
-        ),
-        "final_atoms": series[-1]["atoms"] if series else None,
-        "series": series,
-    }
-
-    core_events = [e for e in events if e.get("kind") == "core_retraction"]
-    core = {
-        "calls": len(core_events),
-        "proper": sum(
-            1 for e in core_events if e["atoms_after"] < e["atoms_before"]
-        ),
-        "atoms_folded": sum(
-            e["atoms_before"] - e["atoms_after"] for e in core_events
-        ),
-        "variables_folded": sum(e["variables_folded"] for e in core_events),
-        "seconds": sum(e.get("seconds", 0.0) for e in core_events),
-    }
-
-    maint_events = [e for e in events if e.get("kind") == "core_maintenance"]
-    maint_candidates = sum(e["candidates_tried"] for e in maint_events)
-    maint_skips = sum(e["skip_hits"] for e in maint_events)
-    considered = maint_candidates + maint_skips
-    core_maintenance = {
-        "calls": len(maint_events),
-        "incremental": sum(
-            1 for e in maint_events if e.get("mode") == "incremental"
-        ),
-        "candidates_tried": maint_candidates,
-        "skip_hits": maint_skips,
-        "skip_hit_ratio": (maint_skips / considered) if considered else None,
-        "candidates_per_step": (
-            maint_candidates / len(maint_events) if maint_events else None
-        ),
-        "seeded_searches": sum(e["seeded_searches"] for e in maint_events),
-        "pairs_checked": sum(e["pairs_checked"] for e in maint_events),
-        "cert_invalidated": sum(e["cert_invalidated"] for e in maint_events),
-        "clean_broken": sum(1 for e in maint_events if e["clean_broken"]),
-        "seconds": sum(e.get("seconds", 0.0) for e in maint_events),
-    }
-
-    hom_events = [e for e in events if e.get("kind") == "homomorphism_search"]
-    homomorphism = {
-        "searches": len(hom_events),
-        "found": sum(1 for e in hom_events if e["found"]),
-        "backtracks": sum(e["backtracks"] for e in hom_events),
-        "seconds": sum(e.get("seconds", 0.0) for e in hom_events),
-    }
-
-    tw_events = [e for e in events if e.get("kind") == "treewidth_search"]
-    treewidth = {
-        "searches": len(tw_events),
-        "budget_consumed": sum(e["budget_consumed"] for e in tw_events),
-        "exhausted": sum(1 for e in tw_events if e["verdict"] is None),
-    }
-
-    robust_events = [e for e in events if e.get("kind") == "robust_step"]
-    robust = {
-        "steps": len(robust_events),
-        "renamed": sum(e["renamed"] for e in robust_events),
-    }
-
-    plan_events = [e for e in events if e.get("kind") == "planner_decision"]
-    plan_computed = sum(1 for e in plan_events if e.get("cached") == "computed")
-    plan_hits = len(plan_events) - plan_computed
-    strategies: dict[str, int] = {}
-    for e in plan_events:
-        name = e.get("strategy", "?")
-        strategies[name] = strategies.get(name, 0) + 1
-    planner = {
-        "decisions": len(plan_events),
-        "computed": plan_computed,
-        "cache_hits": plan_hits,
-        "cache_hit_ratio": (
-            plan_hits / len(plan_events) if plan_events else None
-        ),
-        "strategies": strategies,
-    }
-
-    rewrite_events = [e for e in events if e.get("kind") == "query_rewrite"]
-    rewrite_computed = sum(
-        1 for e in rewrite_events if e.get("source") == "computed"
-    )
-    rewrite_hits = len(rewrite_events) - rewrite_computed
-    query = {
-        "plan_lookups": len(rewrite_events),
-        "computed": rewrite_computed,
-        "plan_cache_hits": rewrite_hits,
-        "plan_cache_hit_ratio": (
-            rewrite_hits / len(rewrite_events) if rewrite_events else None
-        ),
-        "rewrites": sum(
-            1
-            for e in rewrite_events
-            if e.get("source") == "computed" and e.get("fragment")
-        ),
-        "disjuncts_pruned": sum(
-            e.get("pruned", 0)
-            for e in rewrite_events
-            if e.get("source") == "computed"
-        ),
-        "fallbacks": sum(
-            1
-            for e in rewrite_events
-            if e.get("fragment") and not e.get("complete")
-        ),
-    }
-
-    request_events = [e for e in events if e.get("kind") == "service_request"]
-    job_events = [e for e in events if e.get("kind") == "service_job"]
-    retry_events = [e for e in events if e.get("kind") == "service_retry"]
-    rebuild_events = [
-        e for e in events if e.get("kind") == "service_pool_rebuild"
+        if not schema_errors(event):
+            observer.emit(**event)
+    jobs = [
+        (e.get("op", "?"), bool(e.get("warm")), bool(e.get("ok")), e.get("seconds", 0.0))
+        for e in events
+        if e.get("kind") == "service_job"
     ]
-    snap_events = [e for e in events if e.get("kind") == "snapshot_access"]
-    # Failed/retried jobs carry retry-inflated latencies (backoff and a
-    # re-run included); folding them into the headline percentiles would
-    # poison the SLO, so the aggregation splits on ``ok`` and surfaces
-    # the failed side as its own rows.
-    ok_latencies = sorted(
-        e.get("seconds", 0.0) for e in job_events if e.get("ok")
+    snapshot = registry.snapshot()
+    replay = _Replay(
+        metrics=Counter(
+            {name: snap.get("value", snap.get("total")) for name, snap in snapshot.items()}
+        ),
+        counts=counts,
+        series=retraction_series(events),
+        jobs=jobs,
+        ok=sorted(seconds for _, _, ok, seconds in jobs if ok),
+        failed=sorted(seconds for _, _, ok, seconds in jobs if not ok),
     )
-    failed_latencies = sorted(
-        e.get("seconds", 0.0) for e in job_events if not e.get("ok")
-    )
-    warm_hits = sum(1 for e in job_events if e.get("warm"))
-    snap_loads = [e for e in snap_events if e.get("op") == "load"]
-    service = {
-        "requests": len(request_events),
-        "coalesced": sum(1 for e in request_events if e.get("coalesced")),
-        "jobs": len(job_events),
-        "ok": sum(1 for e in job_events if e.get("ok")),
-        "warm_hits": warm_hits,
-        "warm_hit_ratio": (warm_hits / len(job_events)) if job_events else None,
-        "incomplete": sum(1 for e in job_events if e.get("incomplete")),
-        "deadline_expired": sum(
-            1 for e in job_events if e.get("deadline_expired")
-        ),
-        "applications": sum(e.get("applications", 0) for e in job_events),
-        "seconds": sum(ok_latencies) + sum(failed_latencies),
-        "latency_p50": _percentile(ok_latencies, 0.50),
-        "latency_p95": _percentile(ok_latencies, 0.95),
-        "latency_p99": _percentile(ok_latencies, 0.99),
-        "failed_jobs": len(failed_latencies),
-        "failed_latency_p50": _percentile(failed_latencies, 0.50),
-        "failed_latency_p95": _percentile(failed_latencies, 0.95),
-        "latency": latency_summary(
-            (
-                e.get("op", "?"),
-                bool(e.get("warm")),
-                bool(e.get("ok")),
-                e.get("seconds", 0.0),
-            )
-            for e in job_events
-        ),
-        "retries": len(retry_events),
-        "pool_rebuilds": len(rebuild_events),
-        "snapshot_loads": len(snap_loads),
-        "snapshot_load_hits": sum(1 for e in snap_loads if e.get("hit")),
-        "snapshot_corrupt": sum(1 for e in snap_loads if e.get("corrupt")),
-        "snapshot_saves": sum(
-            1 for e in snap_events if e.get("op") == "save"
-        ),
-        "snapshot_evicted": sum(
-            1 for e in snap_events if e.get("op") == "evict"
-        ),
-        "snapshot_ancestor_probes": sum(
-            1 for e in snap_events if e.get("op") == "resolve"
-        ),
-        "snapshot_ancestor_hits": sum(
-            1
-            for e in snap_events
-            if e.get("op") == "resolve" and e.get("hit")
-        ),
-        "snapshot_chain_broken": sum(
-            1 for e in snap_events if e.get("chain_broken")
-        ),
-        "snapshot_bytes_saved": sum(
-            e.get("bytes_saved", 0)
-            for e in snap_events
-            if e.get("op") == "save"
-        ),
-    }
-
-    return {
+    summary: dict = {
         "events": len(events),
-        "counts": counts,
+        "counts": {kind: n for kind, n in counts.items() if n},
         "traces": len(trace_ids(events)),
-        "chase": chase,
-        "core": core,
-        "core_maintenance": core_maintenance,
-        "homomorphism": homomorphism,
-        "treewidth": treewidth,
-        "robust": robust,
-        "planner": planner,
-        "query": query,
-        "service": service,
     }
+    for row in ROWS:
+        values = summary.setdefault(row.section, {})
+        source = row.source
+        values[row.key] = (
+            replay.metrics[source] if isinstance(source, str) else source(values, replay)
+        )
+    return summary
+
+
+def _any_nonzero(section: dict, keys) -> bool:
+    return keys is None or any(section[key] for key in keys)
 
 
 def render_summary(summary: dict, step_stride: int = 1) -> str:
@@ -336,176 +350,27 @@ def render_summary(summary: dict, step_stride: int = 1) -> str:
         parts.append(steps.render())
 
     totals = Table(["subsystem", "quantity", "value"], title="Totals")
-    chase = summary["chase"]
-    totals.add_row("chase", "applications", chase["steps"])
-    totals.add_row("chase", "retractions", chase["retractions"])
-    totals.add_row("chase", "atoms retracted", chase["atoms_retracted"])
-    core = summary["core"]
-    if core["calls"]:
-        totals.add_row("core", "retraction calls", core["calls"])
-        totals.add_row("core", "proper retractions", core["proper"])
-        totals.add_row("core", "atoms folded", core["atoms_folded"])
-        totals.add_row("core", "variables folded", core["variables_folded"])
-    maint = summary.get("core_maintenance", {"calls": 0})
-    if maint["calls"]:
-        totals.add_row("core maintenance", "calls", maint["calls"])
-        totals.add_row("core maintenance", "incremental", maint["incremental"])
-        totals.add_row(
-            "core maintenance", "candidates tried", maint["candidates_tried"]
-        )
-        totals.add_row("core maintenance", "skip hits", maint["skip_hits"])
-        if maint["skip_hit_ratio"] is not None:
-            totals.add_row(
-                "core maintenance",
-                "skip-hit ratio",
-                round(maint["skip_hit_ratio"], 4),
-            )
-        if maint["candidates_per_step"] is not None:
-            totals.add_row(
-                "core maintenance",
-                "candidates per step",
-                round(maint["candidates_per_step"], 2),
-            )
-        totals.add_row(
-            "core maintenance", "pairs checked", maint["pairs_checked"]
-        )
-        totals.add_row(
-            "core maintenance", "certs invalidated", maint["cert_invalidated"]
-        )
-    hom = summary["homomorphism"]
-    if hom["searches"]:
-        totals.add_row("homomorphism", "searches", hom["searches"])
-        totals.add_row("homomorphism", "found", hom["found"])
-        totals.add_row("homomorphism", "backtracks", hom["backtracks"])
-        totals.add_row("homomorphism", "seconds", round(hom["seconds"], 4))
-    tw = summary["treewidth"]
-    if tw["searches"]:
-        totals.add_row("treewidth", "searches", tw["searches"])
-        totals.add_row("treewidth", "budget consumed", tw["budget_consumed"])
-        totals.add_row("treewidth", "budget exhaustions", tw["exhausted"])
-    robust = summary["robust"]
-    if robust["steps"]:
-        totals.add_row("robust", "steps", robust["steps"])
-        totals.add_row("robust", "variables renamed", robust["renamed"])
-    planner = summary.get("planner", {"decisions": 0})
-    if planner["decisions"]:
-        totals.add_row("planner", "decisions", planner["decisions"])
-        totals.add_row("planner", "verdicts computed", planner["computed"])
-        totals.add_row("planner", "cache hits", planner["cache_hits"])
-        if planner["cache_hit_ratio"] is not None:
-            totals.add_row(
-                "planner",
-                "cache-hit ratio",
-                round(planner["cache_hit_ratio"], 4),
-            )
-        for name, n in sorted(planner["strategies"].items()):
-            totals.add_row("planner", f"strategy {name}", n)
-    query = summary.get("query", {"plan_lookups": 0})
-    if query["plan_lookups"]:
-        totals.add_row("query", "plan lookups", query["plan_lookups"])
-        totals.add_row("query", "rewrites computed", query["rewrites"])
-        totals.add_row("query", "plan-cache hits", query["plan_cache_hits"])
-        if query["plan_cache_hit_ratio"] is not None:
-            totals.add_row(
-                "query",
-                "plan-cache hit ratio",
-                round(query["plan_cache_hit_ratio"], 4),
-            )
-        totals.add_row("query", "disjuncts pruned", query["disjuncts_pruned"])
-        totals.add_row("query", "race fallbacks", query["fallbacks"])
-    service = summary.get("service", {"jobs": 0, "requests": 0})
-    if service["jobs"] or service["requests"]:
-        totals.add_row("service", "requests", service["requests"])
-        totals.add_row("service", "coalesced", service["coalesced"])
-        totals.add_row("service", "jobs", service["jobs"])
-        totals.add_row("service", "ok", service["ok"])
-        totals.add_row("service", "warm hits", service["warm_hits"])
-        if service["warm_hit_ratio"] is not None:
-            totals.add_row(
-                "service",
-                "warm-hit ratio",
-                round(service["warm_hit_ratio"], 4),
-            )
-        totals.add_row("service", "incomplete", service["incomplete"])
-        totals.add_row(
-            "service", "deadline expired", service["deadline_expired"]
-        )
-        if service.get("retries"):
-            totals.add_row("service", "retries", service["retries"])
-        if service.get("pool_rebuilds"):
-            totals.add_row(
-                "service", "pool rebuilds", service["pool_rebuilds"]
-            )
-        totals.add_row("service", "applications", service["applications"])
-        totals.add_row(
-            "service", "latency p50 (s)", round(service["latency_p50"], 6)
-        )
-        totals.add_row(
-            "service", "latency p95 (s)", round(service["latency_p95"], 6)
-        )
-        totals.add_row(
-            "service", "latency p99 (s)", round(service.get("latency_p99", 0.0), 6)
-        )
-        if service.get("failed_jobs"):
-            totals.add_row("service", "failed jobs", service["failed_jobs"])
-            totals.add_row(
-                "service",
-                "failed latency p50 (s)",
-                round(service["failed_latency_p50"], 6),
-            )
-            totals.add_row(
-                "service",
-                "failed latency p95 (s)",
-                round(service["failed_latency_p95"], 6),
-            )
-        if service["snapshot_loads"] or service["snapshot_saves"]:
-            totals.add_row(
-                "service", "snapshot loads", service["snapshot_loads"]
-            )
-            totals.add_row(
-                "service", "snapshot load hits", service["snapshot_load_hits"]
-            )
-            totals.add_row(
-                "service", "snapshot saves", service["snapshot_saves"]
-            )
-            if service["snapshot_corrupt"]:
-                totals.add_row(
-                    "service",
-                    "snapshots discarded corrupt",
-                    service["snapshot_corrupt"],
-                )
-        if service.get("snapshot_evicted"):
-            totals.add_row(
-                "service",
-                "snapshots evicted (LRU)",
-                service["snapshot_evicted"],
-            )
-        if service.get("snapshot_ancestor_probes"):
-            totals.add_row(
-                "service",
-                "ancestor probes",
-                service["snapshot_ancestor_probes"],
-            )
-            totals.add_row(
-                "service",
-                "ancestor hits",
-                service["snapshot_ancestor_hits"],
-            )
-        if service.get("snapshot_chain_broken"):
-            totals.add_row(
-                "service",
-                "snapshot chains broken",
-                service["snapshot_chain_broken"],
-            )
-        if service.get("snapshot_bytes_saved"):
-            totals.add_row(
-                "service",
-                "snapshot bytes saved (delta vs full)",
-                service["snapshot_bytes_saved"],
-            )
+    for row in ROWS:
+        values = summary[row.section]
+        value = values[row.key]
+        if (
+            row.label is None
+            or value is None
+            or not _any_nonzero(values, _SECTION_SHOWN.get(row.section))
+            or not _any_nonzero(values, row.shown)
+        ):
+            continue
+        subsystem = row.section.replace("_", " ")
+        if isinstance(value, dict):
+            for name, n in sorted(value.items()):
+                totals.add_row(subsystem, f"{row.label} {name}", n)
+        elif row.digits is None:
+            totals.add_row(subsystem, row.label, value)
+        else:
+            totals.add_row(subsystem, row.label, round(value, row.digits))
     parts.append(totals.render())
 
-    per_op = service.get("latency") or {}
+    per_op = summary["service"]["latency"]
     if any(per_op.values()):
         latency = Table(
             ["op", "class", "count", "mean", "p50", "p95", "p99"],

@@ -157,8 +157,9 @@ def decide_entailment(
     The race can end undecided when both budgets run out — unavoidable,
     since the exact procedure of Theorem 1 is not executable (see
     DESIGN.md).  A ``should_stop`` deadline that fires mid-race returns
-    the soundest verdict reached so far, flagged ``incomplete``; the
-    countermodel side is skipped once the deadline has expired.
+    the soundest verdict reached so far, flagged ``incomplete``: the
+    countermodel search polls it too, and a search it cuts or skips is
+    labelled ``chase-stopped``.
     """
     yes = chase_entails_prefix(
         kb,
@@ -169,16 +170,18 @@ def decide_entailment(
     )
     if yes.decided or yes.incomplete:
         return yes
-    if should_stop is not None and should_stop():
-        return EntailmentVerdict(
-            None, "chase-stopped", yes.chase_steps, incomplete=True
-        )
-    no = find_countermodel(kb, query, max_domain=model_domain_budget)
+    no = find_countermodel(
+        kb, query, max_domain=model_domain_budget, should_stop=should_stop
+    )
     if no.found:
         return EntailmentVerdict(
             False,
             "finite-countermodel",
             yes.chase_steps,
             countermodel=no.model,
+        )
+    if should_stop is not None and should_stop():
+        return EntailmentVerdict(
+            None, "chase-stopped", yes.chase_steps, incomplete=True
         )
     return EntailmentVerdict(None, "race-undecided", yes.chase_steps)

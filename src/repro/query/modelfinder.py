@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
@@ -95,6 +95,7 @@ def find_finite_model(
     domain_budget: int = 6,
     avoid: Optional[ConjunctiveQuery] = None,
     node_budget: int = 20_000,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> ModelSearchResult:
     """Search for a finite model of *kb* with at most *domain_budget*
     terms, optionally avoiding a query.
@@ -102,17 +103,20 @@ def find_finite_model(
     Returns a :class:`ModelSearchResult`; ``result.model`` (if found) is
     a genuine model — callers can re-verify with
     :meth:`KnowledgeBase.is_model` — into which ``avoid`` does not map.
+    ``should_stop`` (e.g. a service deadline) is polled once per search
+    node; once it returns True the search ends without a model and not
+    ``exhausted``, as when the node budget runs out.
     """
     fresh = FreshVariableSource(prefix="_m")
     nodes = [0]
-    budget_hit = [False]
+    cut = [False]
 
     def q_maps(instance: AtomSet) -> bool:
         return avoid is not None and avoid.holds_in(instance)
 
     def search(instance: AtomSet) -> Optional[AtomSet]:
-        if nodes[0] >= node_budget:
-            budget_hit[0] = True
+        if nodes[0] >= node_budget or (should_stop is not None and should_stop()):
+            cut[0] = True
             return None
         nodes[0] += 1
         if q_maps(instance):
@@ -138,7 +142,7 @@ def find_finite_model(
     return ModelSearchResult(
         model=model,
         nodes_explored=nodes[0],
-        exhausted=model is None and not budget_hit[0],
+        exhausted=model is None and not cut[0],
     )
 
 
@@ -147,13 +151,19 @@ def find_countermodel(
     query: ConjunctiveQuery,
     max_domain: int = 8,
     node_budget_per_size: int = 20_000,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> ModelSearchResult:
     """Iterative-deepening countermodel search: try growing domain
     budgets until a model of *kb* avoiding *query* is found.
 
-    A found model soundly certifies ``K ⊭ Q``.  ``exhausted`` only means
-    the bounded space held no countermodel — ``K ⊨ Q`` must be certified
-    by the chase side of the Theorem-1 race instead.
+    *query* is anything with a ``holds_in(instance)`` test — a CQ, or a
+    :class:`~repro.query.ucq.UnionQuery`, whose countermodel must avoid
+    every disjunct at once.  A found model soundly certifies ``K ⊭ Q``.
+    ``exhausted`` only means the bounded space held no countermodel —
+    ``K ⊨ Q`` must be certified by the chase side of the Theorem-1 race
+    instead.  ``should_stop`` is polled once per search node (see
+    :func:`find_finite_model`); a search it cuts ends without a model
+    and not ``exhausted``.
     """
     total_nodes = 0
     for budget in range(1, max_domain + 1):
@@ -162,8 +172,11 @@ def find_countermodel(
             domain_budget=budget,
             avoid=query,
             node_budget=node_budget_per_size,
+            should_stop=should_stop,
         )
         total_nodes += result.nodes_explored
         if result.found:
             return ModelSearchResult(result.model, total_nodes, exhausted=False)
+        if should_stop is not None and should_stop():
+            return ModelSearchResult(None, total_nodes, exhausted=False)
     return ModelSearchResult(None, total_nodes, exhausted=True)

@@ -22,7 +22,7 @@ from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
 from .cq import ConjunctiveQuery
 from .entailment import EntailmentVerdict
-from .modelfinder import find_finite_model
+from .modelfinder import find_countermodel
 
 __all__ = ["UnionQuery", "decide_union_entailment"]
 
@@ -80,8 +80,8 @@ def decide_union_entailment(
 
     ``should_stop`` (e.g. a service deadline) cuts the run short exactly
     as in :func:`~repro.query.entailment.decide_entailment`: a stop
-    before any verdict returns an undecided result flagged
-    ``incomplete``, and the countermodel side is skipped.
+    before any verdict, in the chase or in the countermodel search,
+    returns an undecided result flagged ``incomplete``.
     """
     aggregation = AtomSet()
     hit = [False]
@@ -124,40 +124,18 @@ def decide_union_entailment(
         return EntailmentVerdict(
             None, "chase-stopped", result.applications, incomplete=True
         )
+    no = find_countermodel(
+        kb, query, max_domain=model_domain_budget, should_stop=should_stop
+    )
+    if no.found:
+        return EntailmentVerdict(
+            False,
+            "finite-countermodel",
+            result.applications,
+            countermodel=no.model,
+        )
     if should_stop is not None and should_stop():
         return EntailmentVerdict(
             None, "chase-stopped", result.applications, incomplete=True
         )
-    # "no" side: a model avoiding all disjuncts simultaneously; emulate
-    # by searching with a combined avoidance predicate
-    for budget in range(1, model_domain_budget + 1):
-        result_model = _find_model_avoiding_all(kb, query, budget)
-        if result_model is not None:
-            return EntailmentVerdict(
-                False,
-                "finite-countermodel",
-                result.applications,
-                countermodel=result_model,
-            )
     return EntailmentVerdict(None, "race-undecided", result.applications)
-
-
-class _UnionAvoidance:
-    """Adapter giving :func:`find_finite_model` a single ``holds_in``."""
-
-    def __init__(self, query: UnionQuery):
-        self._query = query
-
-    def holds_in(self, instance: AtomSet) -> bool:
-        return self._query.holds_in(instance)
-
-
-def _find_model_avoiding_all(
-    kb: KnowledgeBase, query: UnionQuery, domain_budget: int
-) -> Optional[AtomSet]:
-    result = find_finite_model(
-        kb,
-        domain_budget=domain_budget,
-        avoid=_UnionAvoidance(query),  # type: ignore[arg-type]
-    )
-    return result.model

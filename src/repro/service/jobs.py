@@ -5,12 +5,15 @@ strings, numbers, bools — so they cross process boundaries (and the TCP
 wire) as plain JSON-able dicts; the first-order objects (KB, query,
 chase state) are materialized only inside the worker.
 
-:func:`execute_job` is the single entry point every execution path
-(process pool, in-process executor, ``--timeout`` CLI runs) goes
-through, and every op runs one body over a list of queries — none for
-``chase``, one for ``entail``, the request's list for ``batch_entail``
-— so warm-start, deadline, and degradation semantics are defined once
-and only the shape of the :class:`JobResult` depends on the op:
+:func:`execute_job` is the single entry point both executor paths
+(process pool and in-process) go through, and every op runs one body
+over a list of queries — none for ``chase``, one for ``entail``, the
+request's list for ``batch_entail`` — so warm-start, deadline, and
+degradation semantics are defined once and only the shape of the
+:class:`JobResult` depends on the op.  (``repro chase`` and ``repro
+entail`` call :func:`~repro.chase.engine.run_chase` and
+:func:`~repro.query.entailment.decide_entailment` directly, with or
+without ``--timeout``.)
 
 * **Rewriting first.**  When the resolved strategy says ``rewrite``,
   each query's cached UCQ plan is evaluated on the base facts; a
@@ -45,7 +48,9 @@ and only the shape of the :class:`JobResult` depends on the op:
   budget.  Such results report ``ancestor=True`` (never ``warm``).
 * **Deadline.**  ``timeout`` seconds (measured inside the job) arm a
   :class:`~repro.service.deadline.Deadline` polled by the engine's
-  cooperative cancellation checkpoint between rule applications.
+  cooperative cancellation checkpoint between rule applications and by
+  the finite-countermodel search once per search node; a search the
+  deadline cuts or skips leaves its query to expiry.
 * **Graceful degradation.**  On expiry the job returns what the partial
   model soundly supports — a query hit found before the deadline is a
   certified "yes"; otherwise ``entailed`` is None — with
@@ -81,6 +86,27 @@ from .deadline import Deadline
 from .snapshots import SnapshotStore
 
 __all__ = ["JobRequest", "JobResult", "execute_job"]
+
+_NULL = type(None)
+
+#: The exact types each :class:`JobRequest` field takes on the wire (a
+#: JSON boolean is not an integer); ``id`` is an unchecked client echo.
+_FIELD_TYPES = {
+    "op": (str,),
+    "kb_text": (str,),
+    "query": (str, _NULL),
+    "queries": (list, _NULL),
+    "variant": (str,),
+    "core_every": (int,),
+    "max_steps": (int,),
+    "timeout": (int, float, _NULL),
+    "use_index": (bool,),
+    "model_budget": (int,),
+    "planner": (bool,),
+    "strategy": (dict, _NULL),
+    "rewrite": (bool, _NULL),
+    "trace": (dict, _NULL),
+}
 
 
 @dataclass
@@ -133,16 +159,33 @@ class JobRequest:
     id: Optional[str] = None
     trace: Optional[dict] = None
 
+    def __post_init__(self) -> None:
+        # Checked once, where a request is built: the server's dedup
+        # hashes these fields before any job runs, and a ValueError here
+        # is its "bad request".
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in kinds:
+                expected = " or ".join(
+                    "null" if kind is _NULL else kind.__name__ for kind in kinds
+                )
+                raise ValueError(
+                    f"job request field {name!r} must be {expected}, "
+                    f"not {type(value).__name__}"
+                )
+        if self.queries is not None and not all(
+            isinstance(text, str) for text in self.queries
+        ):
+            raise ValueError("job request field 'queries' must be a list of strings")
+
     def dedup_key(self) -> tuple:
         """The coalescing identity: everything that shapes the answer.
 
-        The query fields enter as JSON text, so a request whose ``query``
-        or ``queries`` has the wrong type still gets a key (and then a
-        job error naming the field)."""
+        ``queries`` enters as JSON text, since a list is not hashable."""
         return (
             self.op,
             self.kb_text,
-            json.dumps(self.query),
+            self.query,
             json.dumps(self.queries),
             self.variant,
             self.core_every,
@@ -392,16 +435,10 @@ def _query_texts(request: JobRequest) -> list:
     if request.op == "entail":
         if not request.query:
             raise ValueError("entail jobs need a query")
-        if not isinstance(request.query, str):
-            raise ValueError("entail jobs need 'query' to be a string")
         return [request.query]
     if request.op == "batch_entail":
         if not request.queries:
             raise ValueError("batch_entail jobs need a nonempty 'queries' list")
-        if not isinstance(request.queries, list) or not all(
-            isinstance(text, str) for text in request.queries
-        ):
-            raise ValueError("batch_entail jobs need 'queries' to be a list of strings")
         return request.queries
     raise ValueError(f"unknown job op {request.op!r}")
 
@@ -514,21 +551,27 @@ def _execute(
                 )
 
     for i in sorted(open_queries):
+        counter = None
+        if not terminated and strategy.model_budget > 0 and not deadline.expired():
+            with _span("countermodel", budget=strategy.model_budget):
+                counter = find_countermodel(
+                    kb,
+                    queries[i],
+                    max_domain=strategy.model_budget,
+                    should_stop=deadline.expired,
+                )
         if terminated:
             # The fixpoint is a finite universal model: every open
             # query is exactly refuted by it at once.
             settle(i, False, "chase-fixpoint-miss", total)
-        elif expired:
+        elif counter is not None and counter.found:
+            settle(i, False, "finite-countermodel", total)
+        elif expired or (strategy.model_budget > 0 and deadline.expired()):
+            # The deadline cut the chase, or cut or skipped this search.
+            expired = True
             settle(i, None, "deadline-expired", total, incomplete=True)
-        elif strategy.model_budget > 0 and not deadline.expired():
-            with _span("countermodel", budget=strategy.model_budget):
-                counter = find_countermodel(
-                    kb, queries[i], max_domain=strategy.model_budget
-                )
-            if counter.found:
-                settle(i, False, "finite-countermodel", total)
-            else:
-                settle(i, None, "race-undecided", total)
+        elif counter is not None:
+            settle(i, None, "race-undecided", total)
         else:
             settle(i, None, "chase-budget-exhausted", total)
 

@@ -7,8 +7,10 @@ ancestor, planner-routed and rewrite jobs, and one request served by a
 one-worker process pool whose worker is killed mid-job (a retry and a
 pool rebuild).  The server's and the workers' trace files are merged
 and every event is checked against its entry.  The event and metric
-tables in ``docs/OBSERVABILITY.md`` are checked against the table and
-against the metrics the run registers.
+tables in ``docs/OBSERVABILITY.md`` are checked against the table,
+against the metrics the run registers and against the metrics the
+``repro stats`` row table reads.  A second, in-process run checks that
+``repro stats`` reads the live registry's totals back from its trace.
 """
 
 import asyncio
@@ -32,6 +34,8 @@ from repro.obs import (
     schema_errors,
 )
 from repro.obs.spans import read_trace_dir
+from repro.obs.stats import ROWS, summarize_trace
+from repro.obs.tracer import read_trace
 from repro.service.executor import JobExecutor, RetryPolicy
 from repro.service.faults import FaultPlan
 from repro.service.jobs import JobRequest, execute_job
@@ -146,6 +150,19 @@ def run(tmp_path_factory):
     return events, registry
 
 
+@pytest.fixture(scope="module")
+def in_process_run(tmp_path_factory):
+    """``(events, registry)`` of the library paths and in-process jobs
+    above, traced into one file with a live registry."""
+    root = tmp_path_factory.mktemp("replay")
+    registry = MetricsRegistry()
+    with open(root / "trace.jsonl", "w") as sink:
+        with observing(TracingObserver(JsonlTracer(sink), registry=registry)):
+            _library_paths()
+            _jobs(SnapshotStore(root / "store"))
+    return read_trace(str(root / "trace.jsonl")), registry
+
+
 def documented(section: str) -> list[str]:
     """The backticked names in the first column of *section*'s table."""
     text = DOC.read_text().split(f"\n## {section}\n", 1)[1]
@@ -202,3 +219,30 @@ class TestObservabilityDoc:
             and not any(name.startswith(prefix) for prefix in patterns)
         ]
         assert missing == []
+
+    def test_every_metric_a_stats_row_reads_has_a_row_in_the_metric_table(self):
+        # A misspelled name in the row table would read 0 forever.
+        rows = documented("Metric names")
+        names = {row.source for row in ROWS if isinstance(row.source, str)}
+        assert names - set(rows) == set()
+
+
+class TestStatsReplay:
+    def test_metric_sourced_totals_equal_the_live_registry(self, in_process_run):
+        events, registry = in_process_run
+        summary = summarize_trace(events)
+        live = registry.snapshot()
+        fed = set()
+        for row in ROWS:
+            if not isinstance(row.source, str):
+                continue
+            snap = live.get(row.source, {})
+            assert summary[row.section][row.key] == snap.get(
+                "value", snap.get("total", 0)
+            ), row
+            if row.source in live:
+                fed.add(row.section)
+        assert fed >= {
+            "chase", "core", "core_maintenance", "homomorphism", "treewidth",
+            "robust", "planner", "query", "service",
+        }

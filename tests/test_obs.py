@@ -358,3 +358,28 @@ class TestStats:
         assert "retries" in rendered
         assert "pool rebuilds" in rendered
         assert "snapshots evicted (LRU)" in rendered
+
+    def test_events_off_the_table_are_counted_not_totalled(self):
+        # An unknown kind and two events that lack a required field of a
+        # kind no total reads: none is replayed through a metric update.
+        events = [
+            {"kind": "hom_memo_lookup", "hit": True},
+            {"kind": "trigger_selected", "step": 1, "rule": "R"},
+            {"kind": "span_close", "name": "chase", "trace_id": "a" * 16,
+             "span_id": "b" * 16},
+            {"kind": "chase_step_finished", "step": 1, "rule": "R",
+             "atoms_before": 1, "atoms_applied": 3, "atoms_after": 2,
+             "retracted": 1},
+        ]
+        summary = summarize_trace(events)
+        assert summary["events"] == 4
+        assert summary["counts"] == {
+            "hom_memo_lookup": 1,
+            "trigger_selected": 1,
+            "span_close": 1,
+            "chase_step_finished": 1,
+        }
+        assert summary["chase"]["steps"] == summary["chase"]["retractions"] == 1
+        assert summary["homomorphism"]["searches"] == 0
+        rendered = render_summary(summary)
+        assert "hom_memo_lookup" in rendered and "Totals" in rendered

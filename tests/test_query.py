@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kbs.elevator import elevator_kb
 from repro.kbs.witnesses import bts_not_fes_kb, manager_kb, transitive_closure_kb
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atoms, parse_rules
@@ -15,6 +16,7 @@ from repro.query import (
     find_countermodel,
     find_finite_model,
 )
+from repro.service.deadline import Deadline
 
 
 class TestConjunctiveQuery:
@@ -157,3 +159,17 @@ class TestDecisionRace:
         )
         verdict = decide_entailment(kb, boolean_cq("r(X, a)"), chase_budget=10)
         assert verdict.entailed is False
+
+    def test_deadline_cuts_the_countermodel_search(self):
+        # The 5-step chase ends well inside the deadline; the domain-3
+        # search after it runs for seconds unless the deadline stops it.
+        verdict = decide_entailment(
+            elevator_kb(),
+            boolean_cq("v(X, X)"),
+            chase_budget=5,
+            model_domain_budget=3,
+            should_stop=Deadline(0.5),
+        )
+        assert verdict.entailed is None
+        assert verdict.method == "chase-stopped"
+        assert verdict.incomplete

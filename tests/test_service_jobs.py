@@ -191,6 +191,42 @@ class TestDeadlineDegradation:
         assert result.method == "chase-deadline"
         assert result.instance  # the sound partial model came back
 
+    def test_deadline_cuts_the_countermodel_search(self):
+        # The 5-step chase ends well inside the deadline; the domain-3
+        # search after it runs for seconds unless the deadline stops it.
+        result = execute_job(
+            JobRequest(
+                op="entail",
+                kb_text=ELEVATOR,
+                query="v(X, X)",
+                max_steps=5,
+                model_budget=3,
+                timeout=0.5,
+            )
+        )
+        assert result.ok
+        assert result.entailed is None
+        assert result.method == "deadline-expired"
+        assert result.incomplete and result.deadline_expired
+
+    def test_expired_deadline_skips_the_countermodel_search(self):
+        # A zero-step chase never polls the deadline; the search it
+        # would hand over to is skipped, and the answer says so.
+        result = execute_job(
+            JobRequest(
+                op="entail",
+                kb_text="[facts]\nr(a, b)\n\n[rules]\n[Succ] r(X, Y) -> r(Y, Z)\n",
+                query="r(X, a)",
+                max_steps=0,
+                model_budget=4,
+                timeout=0,
+            )
+        )
+        assert result.ok
+        assert result.entailed is None
+        assert result.method == "deadline-expired"
+        assert result.incomplete and result.deadline_expired
+
     def test_hit_before_deadline_is_sound_yes(self):
         # A generous deadline: the hit fires long before expiry, so the
         # answer is exact despite the timeout being set.

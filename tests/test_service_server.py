@@ -117,6 +117,45 @@ class TestProtocol:
         assert not response["ok"]
         assert "bad request" in response["error"]
 
+    def test_wrongly_typed_fields_are_bad_requests(self, tmp_path):
+        # Each field is type-checked where its JobRequest is built, before
+        # the dedup hashes it or a job reads it; a JSON boolean is not an
+        # integer, nor an integer a boolean.
+        wrong = {
+            "kb_text": [TC],
+            "query": ["e(v0, v3)"],
+            "queries": "ep",
+            "variant": ["core"],
+            "core_every": "1",
+            "max_steps": "5",
+            "timeout": "1",
+            "use_index": 1,
+            "model_budget": True,
+            "planner": "yes",
+            "strategy": "fes-core",
+            "rewrite": 0,
+            "trace": "abc",
+        }
+
+        async def scenario():
+            server, executor, task = await start_server(tmp_path)
+            responses = await request_lines(
+                server.port,
+                [
+                    {"op": "entail", "kb_text": TC, "query": "e(v0, v3)",
+                     name: value, "id": name}
+                    for name, value in wrong.items()
+                ],
+            )
+            await shut_down(server, executor, task)
+            return {r["id"]: r for r in responses}
+
+        by_id = asyncio.run(scenario())
+        for name in wrong:
+            assert not by_id[name]["ok"], name
+            assert by_id[name]["error"].startswith("bad request: "), by_id[name]
+            assert f"'{name}'" in by_id[name]["error"], by_id[name]
+
     def test_batch_op(self, tmp_path):
         async def scenario():
             server, executor, task = await start_server(tmp_path)
