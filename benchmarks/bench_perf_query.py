@@ -47,6 +47,7 @@ from repro.kbs.witnesses import (
 from repro.kbs.staircase import staircase_kb
 from repro.logic.homomorphism import maps_into
 from repro.logic.serialization import dump_kb
+from repro.obs import MetricsObserver, MetricsRegistry, observing
 from repro.query import boolean_cq, default_plan_cache
 from repro.query.decomposed import DecomposedQuery
 from repro.query.plans import QueryPlanCache
@@ -262,13 +263,21 @@ def bench_perf_query_table():
     accel.add_row(batch_name, label, "batch", True, round(batch_seconds, 4))
 
     # -- the repeated-distinct-query hit-ratio smoke --------------------
+    # Lookups and hits are counted as the ``stats`` op counts them: by
+    # the metric updates of each lookup's ``query_rewrite`` event.
     cache = QueryPlanCache()
     kb = manager_kb()
-    for _ in range(SMOKE_REPEATS):
-        for text in SMOKE_QUERIES:
-            cache.plan_for(kb, boolean_cq(text))
-    assert cache.hit_ratio >= MIN_SMOKE_HIT_RATIO, (
-        f"plan-cache hit ratio {cache.hit_ratio:.3f} below "
+    registry = MetricsRegistry()
+    with observing(MetricsObserver(registry)):
+        for _ in range(SMOKE_REPEATS):
+            for text in SMOKE_QUERIES:
+                cache.plan_for(kb, boolean_cq(text))
+    hit_ratio = (
+        registry.counter("query.plan_cache_hits").value
+        / registry.counter("query.plan_lookups").value
+    )
+    assert hit_ratio >= MIN_SMOKE_HIT_RATIO, (
+        f"plan-cache hit ratio {hit_ratio:.3f} below "
         f"{MIN_SMOKE_HIT_RATIO} on the repeated-distinct-query smoke"
     )
 
@@ -277,7 +286,7 @@ def bench_perf_query_table():
         f">={MIN_REWRITE_SPEEDUP}x vs the race, fallback rows <="
         f"{MAX_FALLBACK_RATIO}x, batch row {batch_speedup:.1f}x over "
         f"sequential; plan-cache smoke {len(SMOKE_QUERIES)} distinct CQs x "
-        f"{SMOKE_REPEATS} rounds -> hit ratio {cache.hit_ratio:.3f} "
+        f"{SMOKE_REPEATS} rounds -> hit ratio {hit_ratio:.3f} "
         f"(floor {MIN_SMOKE_HIT_RATIO})."
     )
     save_table("perf_query", accel, note)

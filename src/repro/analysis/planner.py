@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from ..chase.engine import ChaseVariant
 from ..logic.kb import KnowledgeBase
@@ -172,12 +172,19 @@ class Strategy:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Strategy":
-        known = {f.name for f in fields(cls)}
-        picked = {key: value for key, value in obj.items() if key in known}
+        kinds = get_type_hints(cls)
+        picked = {key: value for key, value in obj.items() if key in kinds}
         picked.setdefault("name", "override")
         missing = {"variant", "core_every", "max_steps", "model_budget"} - set(picked)
         if missing:
             raise ValueError(f"strategy override missing fields: {sorted(missing)}")
+        for key, value in picked.items():
+            # Exact types, as on the wire: a JSON boolean is not an integer.
+            if type(value) is not kinds[key]:
+                raise ValueError(
+                    f"strategy field {key!r} must be {kinds[key].__name__}, "
+                    f"not {type(value).__name__}"
+                )
         if picked["variant"] not in ChaseVariant.ALL:
             raise ValueError(f"unknown chase variant {picked['variant']!r}")
         return cls(**picked)

@@ -177,8 +177,8 @@ class ChaseState:
     """A resumable checkpoint of a chase run (see the module docstring).
 
     Everything here is *primary* state: the derived accelerators
-    (trigger index, positional atom index, core-maintenance
-    certificates) are built on the first step after a restore.
+    (trigger index, compiled views, core-maintenance certificates) are
+    built on the first step after a restore.
     ``ages`` and ``applied_keys`` use the engine's canonical
     trigger keys — ``(rule_name, image)`` with ``image`` a sorted tuple
     of ``(Variable, Term)`` pairs — so a state is meaningful only

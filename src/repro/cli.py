@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the naive engine instead of the compiled kernel: no "
         "compiled join plans, no incremental trigger index, no "
-        "positional atom index, no incremental core maintenance (the "
-        "reference path differential tests compare against)",
+        "incremental core maintenance (the reference path differential "
+        "tests compare against)",
     )
     chase.add_argument(
         "--timeout",

@@ -6,16 +6,17 @@ rule or a Boolean conjunctive query.  :class:`AtomSet` is the one mutable
 container of the library; everything else (atoms, terms, substitutions,
 rules) is immutable.
 
-Three incremental indexes are maintained:
+Two incremental indexes are maintained:
 
 * by predicate — the candidate pool for homomorphism backtracking and
   trigger enumeration;
 * by term — needed to delete all atoms involving a null, to compute
-  induced substructures, and to build Gaifman graphs;
-* by (predicate, position, term) — the selective candidate pool of the
-  indexed homomorphism engine: once an argument of a pattern atom is
-  decided, only target atoms carrying that image *at that position* can
-  match, a strictly tighter pool than the term index gives.
+  induced substructures, and to build Gaifman graphs.
+
+The homomorphism searches that need per-position pools run on the
+compiled view an atomset carries once a search first touches it
+(:mod:`repro.logic.compiled.relations`), kept in step by :meth:`add`
+and :meth:`discard`.
 
 Instances compare equal iff they contain the same atoms, regardless of
 insertion order.
@@ -47,7 +48,6 @@ class AtomSet:
         "_atoms",
         "_by_predicate",
         "_by_term",
-        "_by_position",
         "_compiled",
         "_sorted",
     )
@@ -56,7 +56,6 @@ class AtomSet:
         self._atoms: set[Atom] = set()
         self._by_predicate: dict[Predicate, set[Atom]] = {}
         self._by_term: dict[Term, set[Atom]] = {}
-        self._by_position: dict[tuple[Predicate, int, Term], set[Atom]] = {}
         #: Lazily attached compiled view (repro.logic.compiled.relations);
         #: None until a compiled search first touches this atomset.
         self._compiled = None
@@ -79,10 +78,6 @@ class AtomSet:
         self._by_predicate.setdefault(at.predicate, set()).add(at)
         for term in at.term_set():
             self._by_term.setdefault(term, set()).add(at)
-        for position, term in enumerate(at.args):
-            self._by_position.setdefault(
-                (at.predicate, position, term), set()
-            ).add(at)
         if self._compiled is not None:
             self._compiled.add(at)
         self._sorted = None
@@ -110,12 +105,6 @@ class AtomSet:
             bucket.remove(at)
             if not bucket:
                 del self._by_term[term]
-        for position, term in enumerate(at.args):
-            key = (at.predicate, position, term)
-            bucket = self._by_position[key]
-            bucket.remove(at)
-            if not bucket:
-                del self._by_position[key]
         if self._compiled is not None:
             self._compiled.discard(at)
         self._sorted = None
@@ -210,15 +199,6 @@ class AtomSet:
         """All atoms whose argument list mentions *term*."""
         return frozenset(self._by_term.get(term, frozenset()))
 
-    def with_predicate_position(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> frozenset[Atom]:
-        """All atoms over *predicate* carrying *term* at *position* —
-        the selective candidate pool of the indexed homomorphism engine."""
-        return frozenset(
-            self._by_position.get((predicate, position, term), frozenset())
-        )
-
     _EMPTY: frozenset = frozenset()
 
     def _containing_raw(self, term: Term) -> set[Atom]:
@@ -228,14 +208,6 @@ class AtomSet:
     def _with_predicate_raw(self, predicate: Predicate) -> set[Atom]:
         """Internal no-copy view of the predicate index (do not mutate)."""
         return self._by_predicate.get(predicate, AtomSet._EMPTY)  # type: ignore[return-value]
-
-    def _with_position_raw(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> set[Atom]:
-        """Internal no-copy view of the positional index (do not mutate)."""
-        return self._by_position.get(
-            (predicate, position, term), AtomSet._EMPTY
-        )  # type: ignore[return-value]
 
     def terms(self) -> frozenset[Term]:
         """``terms(A)`` — all terms occurring in the atomset."""
@@ -265,9 +237,6 @@ class AtomSet:
             pred: set(bucket) for pred, bucket in self._by_predicate.items()
         }
         new._by_term = {term: set(bucket) for term, bucket in self._by_term.items()}
-        new._by_position = {
-            key: set(bucket) for key, bucket in self._by_position.items()
-        }
         new._compiled = (
             self._compiled.clone() if self._compiled is not None else None
         )

@@ -1,11 +1,11 @@
 """The compiled chase kernel: interned terms, columnar relations, and
 join-plan evaluation (ISSUE 7).
 
-The object-level search evaluates rule bodies and endomorphism checks by
+An object-level search evaluates rule bodies and endomorphism checks by
 backtracking over :class:`~repro.logic.atoms.Atom` graphs — every inner
-step hashes composite objects (``("var", name)`` tuples, ``(predicate,
-position, term)`` index keys) and sorts candidate pools of full atoms.
-This package removes the object layer from the hot loop:
+step hashes composite objects (terms, atoms, index keys) and sorts
+candidate pools of full atoms.  This package removes the object layer
+from the hot loop:
 
 * :mod:`~repro.logic.compiled.interner` — a process-global, bidirectional
   symbol table mapping predicates and terms to small ints (and back, so
@@ -15,17 +15,15 @@ This package removes the object layer from the hot loop:
   postings, attached lazily to an :class:`~repro.logic.atomset.AtomSet`
   and maintained incrementally through its mutations;
 * :mod:`~repro.logic.compiled.plans` — the compiled join evaluator: the
-  *same* most-constrained-first backtracking search as
-  :func:`repro.logic.homomorphism.homomorphisms`, replayed over int
-  tuples with an explicit frame stack, with the positional index's
-  pools, ordering and tie-breaks.
+  most-constrained-first backtracking search of
+  :func:`repro.logic.homomorphism.homomorphisms`, run over int tuples
+  with an explicit frame stack and per-(position, value) pools.
 
-The kernel is the engine: every non-injective homomorphism search and
-the chase's trigger maintenance run on it.  Two paths stay on the object
-level: ``injective`` (isomorphism) searches, which the kernel does not
-compile, and the naive reference inside
-:func:`repro.logic.indexing.no_index` (``--no-index``), which the
-differential suite compares the kernel against.  See
+The kernel is the engine: every homomorphism search, injective
+(isomorphism) searches included, and the chase's trigger maintenance
+run on it.  One path stays on the object level: the naive reference
+inside :func:`repro.logic.indexing.no_index` (``--no-index``), which
+the differential suite compares the kernel against.  See
 docs/PERFORMANCE.md ("Compiled kernel").
 """
 

@@ -1,27 +1,34 @@
 """The compiled join evaluator.
 
-:func:`compiled_assignments` replays the *indexed* backtracking search of
+:func:`compiled_assignments` runs the backtracking search of
 :func:`repro.logic.homomorphism.homomorphisms` over the int tuples of a
 :class:`~repro.logic.compiled.relations.CompiledView`:
 
-* the same candidate pools (per-(position, image) postings intersected
-  over every already-decided argument, whole relation when none is
-  decided, empty on a missing posting);
-* the same most-constrained-first selection (first strictly smaller pool
+* candidate pools are per-(position, image) postings intersected over
+  every already-decided argument, the whole relation when none is
+  decided, empty on a missing posting;
+* selection is most-constrained-first (first strictly smaller pool
   wins, scan stops at a singleton, dead end on an empty pool);
-* the same candidate order (rows sorted by the per-argument
+* candidates are tried in row order under the per-argument
   ``(is_variable, name)`` key — the argument component of
   :meth:`Atom.sort_key`, whose predicate component is constant inside a
-  relation);
-* the same undo accounting (every clash or exhausted subtree bumps
-  ``_stats["backtracks"]`` exactly once, like ``_undo``).
+  relation — so a search is deterministic;
+* every clash or exhausted subtree bumps ``_stats["backtracks"]``
+  exactly once, like the reference's ``_undo``.
 
-Because pools, order and tie-breaks coincide, the kernel enumerates the
-witnesses of the object search in the same order.  The differential
-suite checks the result against the naive reference: the same
-witnesses as a set, and chase runs with the same rule sequence.
+The naive reference (the object search inside
+:func:`repro.logic.indexing.no_index`) uses coarser pools, so it may
+enumerate in another order; the differential suite checks that both
+find the same witnesses as a set, and that chase runs apply the same
+rule sequence.
 
-Two structural changes make the replay fast without changing what it
+``injective`` (the isomorphism search) blocks every image already
+taken, the way ``forbidden_images`` blocks images: the images
+``partial`` fixes, the source's constants (every homomorphism fixes
+them, so no variable may share their image), and each new binding until
+it is undone.
+
+Two structural choices make the search fast without changing what it
 enumerates:
 
 * **Compilation.**  A source pattern is *compiled* once
@@ -31,19 +38,14 @@ enumerates:
   assignment evolves), so the inner candidates() loop touches only
   variable positions; and the matcher skips constant positions entirely
   (any row drawn from a pool intersected with the constant postings
-  carries them by construction — the object matcher re-checks them,
-  but those checks cannot fail, so skipping preserves both witnesses and
-  backtrack counts).  Plans are cached on the source's
+  carries them by construction, so a check there could not fail).
+  Plans are cached on the source's
   :class:`~repro.logic.compiled.relations.CompiledView` and invalidated
   by mutation, so rule bodies compile exactly once per process.
 * **An explicit frame stack** (descend = select an atom and push,
   advance = try the top frame's next candidate, exhaustion = reinsert
   the atom and pop) replaces the recursion, removing the
   nested-generator bubbling that dominates deep searches.
-
-Injective (isomorphism) searches are *not* compiled — callers bail to
-the object path (see the routing check in
-:func:`repro.logic.homomorphism.homomorphisms`).
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ def compiled_assignments(
     forbidden_images: "Iterable[Term]" = (),
     _stats: Optional[dict] = None,
     source_set: "Optional[AtomSet]" = None,
+    injective: bool = False,
 ) -> Iterator[tuple[dict[int, int], frozenset]]:
     """Enumerate homomorphism assignments in int space.
 
@@ -138,15 +141,16 @@ def compiled_assignments(
     materializing a :class:`Substitution` per endomorphism).
 
     *source_atoms* must already be in canonical sorted order (as produced
-    by the caller's ``_as_atom_list``); the search branches over them in
-    the same most-constrained-first order as the object-level code.  Pass
-    the originating atomset as *source_set* to reuse its cached plan.
+    by the caller's ``_as_atom_list``), which fixes the search's
+    tie-breaks.  Pass the originating atomset as *source_set* to reuse
+    its cached plan.  With *injective*, two images ``partial`` fixes that
+    collide, or one that is a constant of the source, leave no witness.
     """
     if not isinstance(source_atoms, list):
         # Direct callers may hand an AtomSet (or any iterable) straight
         # in; its raw-set iteration order is hash-dependent, and the
-        # branch order below must match the object search's canonical
-        # one, so normalize exactly as ``_as_atom_list`` would.
+        # branch order below must not be, so normalize exactly as
+        # ``_as_atom_list`` would.
         from ..atomset import AtomSet
 
         if isinstance(source_atoms, AtomSet):
@@ -171,6 +175,15 @@ def compiled_assignments(
         encoded, source_var_codes = source_plan(source_set, source_atoms)
     else:
         encoded, source_var_codes = encode_source(source_atoms)
+    if injective:
+        # The images already taken: the source's constants, then each
+        # image ``partial`` fixes; they join the forbidden images.
+        taken = {code for entry in encoded for _, code in entry[3]}
+        for code in assignment.values():
+            if code in taken:
+                return
+            taken.add(code)
+        forbidden_codes = forbidden_codes | taken
 
     view = compiled_view(target)
     relations = view.relations
@@ -182,7 +195,7 @@ def compiled_assignments(
             return
 
     for assignment in run_plan(
-        encoded, view, assignment, forbidden_codes, _stats
+        encoded, view, assignment, forbidden_codes, _stats, injective
     ):
         yield assignment, source_var_codes
 
@@ -229,6 +242,7 @@ def run_plan(
     assignment: dict[int, int],
     forbidden_codes: frozenset,
     _stats: Optional[dict] = None,
+    injective: bool = False,
 ) -> Iterator[dict[int, int]]:
     """The compiled search core over a pre-compiled source plan.
 
@@ -238,22 +252,27 @@ def run_plan(
     :func:`compiled_assignments` for the aliasing caveat.  Callers that
     skip :func:`compiled_assignments` (the escape scan) must have
     performed its prechecks themselves or know they hold vacuously.
+    With *injective*, each new binding's image is blocked like
+    *forbidden_codes* until the binding is undone; the caller puts the
+    images already taken into *forbidden_codes*.
     """
     stats_on = _stats is not None
     assignment_get = assignment.get
     remaining = list(_search_items(encoded, view))
+    blocked = set(forbidden_codes) if injective else forbidden_codes
 
     def undo(newly_bound: list[int]) -> None:
         if stats_on:
             _stats["backtracks"] += 1
+        if injective:
+            blocked.difference_update([assignment[code] for code in newly_bound])
         for code in newly_bound:
             del assignment[code]
 
     def match(var_positions: tuple, row: tuple[int, ...]) -> Optional[list[int]]:
         # Constant positions are guaranteed by the pool (it was
         # intersected with their postings) — only variable positions can
-        # clash, exactly as in the object matcher (whose constant checks
-        # never fail for pool-drawn candidates).
+        # clash.
         newly_bound: list[int] = []
         for position, code in var_positions:
             tgt = row[position]
@@ -263,14 +282,16 @@ def run_plan(
                     undo(newly_bound)
                     return None
                 continue
-            if tgt in forbidden_codes:
+            if tgt in blocked:
                 undo(newly_bound)
                 return None
             assignment[code] = tgt
+            if injective:
+                blocked.add(tgt)
             newly_bound.append(code)
         return newly_bound
 
-    # Frames mirror one level of the object search's recursion:
+    # Frames mirror one level of the reference search's recursion:
     # [chosen item, its index in ``remaining``, ordered candidates,
     #  next candidate position, bindings of the current match (or None)].
     stack: list[list] = []
@@ -353,6 +374,7 @@ def compiled_homomorphisms(
     forbidden_images: "Iterable[Term]" = (),
     _stats: Optional[dict] = None,
     source_set: "Optional[AtomSet]" = None,
+    injective: bool = False,
 ) -> Iterator[Substitution]:
     """Enumerate homomorphisms as :class:`Substitution` objects — the
     decompiled form of :func:`compiled_assignments`."""
@@ -364,6 +386,7 @@ def compiled_homomorphisms(
         forbidden_images=forbidden_images,
         _stats=_stats,
         source_set=source_set,
+        injective=injective,
     ):
         yield Substitution(
             {

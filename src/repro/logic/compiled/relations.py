@@ -4,18 +4,18 @@ A :class:`CompiledView` mirrors one :class:`~repro.logic.atomset.AtomSet`
 as a family of :class:`Relation` objects — one per predicate — each
 storing its atoms as flat int tuples (*rows*) plus:
 
-* ``postings``: ``(position, term code) -> set of rows`` — the compiled
-  twin of the atomset's positional index, but keyed by a small int pair
-  instead of a ``(Predicate, int, Term)`` tuple, so a candidate-pool
-  probe is one int-tuple hash instead of three object hashes;
+* ``postings``: ``(position, term code) -> set of rows`` — the
+  per-position candidate pools of the search, keyed by a small int
+  pair, so a candidate-pool probe is one int-tuple hash instead of
+  several object hashes;
 * ``sort_keys``: ``row -> per-argument (is_variable, name) tuple`` —
   precomputed at insert time, so ordering a candidate pool costs one
   dict read per member.  Rows of one predicate compare exactly as the
   corresponding atoms compare under :meth:`Atom.sort_key` (predicate
   name and arity are constant within a relation; the remaining
-  component is this per-argument tuple), which is what lets the
-  compiled evaluator reproduce the indexed search's witness order
-  bit-for-bit.
+  component is this per-argument tuple), so the compiled evaluator
+  tries candidates in a fixed order and its witnesses are
+  deterministic.
 
 The view is attached lazily (:func:`compiled_view`) to the atomset's
 ``_compiled`` slot and maintained *incrementally* from then on:

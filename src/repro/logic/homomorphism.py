@@ -9,11 +9,8 @@ the search implemented here.
 The search is plain backtracking over the atoms of the source, made
 practical by:
 
-* candidate pools from the target's (predicate, position, term) index —
-  every already-decided argument of a pattern atom narrows the pool to
-  the target atoms carrying its image at that exact position (the legacy
-  term-containment pools remain reachable via
-  :func:`repro.logic.indexing.no_index` for differential testing);
+* candidate pools narrowed by every already-decided argument of a
+  pattern atom to the target atoms that contain its image;
 * a selectivity-driven atom order (most-constrained atom first, i.e.
   smallest current candidate pool), which keeps the partial assignment
   propagating instead of guessing;
@@ -30,12 +27,14 @@ Three extra knobs cover every use in the library:
     asks for endomorphisms avoiding a given null.
 ``injective``
     Demand an injective term mapping — the isomorphism search builds on
-    this.
+    this.  The source's constants are images from the start: every
+    homomorphism fixes them, so no variable may share their image.
 
-Every non-injective search runs on the compiled kernel
-(:mod:`repro.logic.compiled`), which replays this search over interned
-int tuples.  The object search below runs the injective searches, and
-every search inside :func:`repro.logic.indexing.no_index`.
+Every search runs on the compiled kernel (:mod:`repro.logic.compiled`),
+which runs this search over interned int tuples with per-position
+pools.  The object search below is the naive reference: it runs only
+inside :func:`repro.logic.indexing.no_index`, where the differential
+suites compare the kernel against it.
 """
 
 from __future__ import annotations
@@ -96,11 +95,9 @@ def homomorphisms(
         _stats["source_atoms"] = len(source_atoms)
         _stats["target_atoms"] = len(target)
 
-    # Non-injective searches run on the compiled kernel as join plans
-    # over interned int tuples, except under ``no_index()``, where the
-    # naive pools below are the reference.  Isomorphism searches
-    # (``injective``) are not compiled and take the object path.
-    if not injective and _indexing.atom_index_enabled():
+    # Every search runs on the compiled kernel, except under
+    # ``no_index()``, where the object search below is the reference.
+    if _indexing.atom_index_enabled():
         yield from _plans.compiled_homomorphisms(
             source_atoms,
             target,
@@ -108,6 +105,7 @@ def homomorphisms(
             forbidden_images=forbidden,
             _stats=_stats,
             source_set=source if isinstance(source, AtomSet) else None,
+            injective=injective,
         )
         return
 
@@ -117,8 +115,18 @@ def homomorphisms(
             assignment[var] = term
     if forbidden and any(t in forbidden for t in assignment.values()):
         return
-    if injective and len(set(assignment.values())) < len(assignment):
-        return
+
+    used_images: set[Term] = set()
+    if injective:
+        # The images already taken: the source's constants, then each
+        # image ``partial`` fixes.
+        used_images = {
+            t for at in source_atoms for t in at.args if isinstance(t, Constant)
+        }
+        for term in assignment.values():
+            if term in used_images:
+                return
+            used_images.add(term)
 
     # Fail fast: a predicate of the source absent from the target kills
     # every candidate branch.
@@ -126,66 +134,31 @@ def homomorphisms(
         if target.count_with_predicate(at.predicate) == 0:
             return
 
-    used_images: set[Term] = set(assignment.values()) if injective else set()
     source_vars = set()
     for at in source_atoms:
         source_vars.update(at.variables())
 
-    if _indexing.atom_index_enabled():
-
-        def candidates(at: Atom):
-            """Candidate target atoms for *at* under the current
-            assignment, narrowed through the positional index: every
-            already-decided argument (constant or bound variable)
-            restricts the pool to the atoms carrying its image at that
-            exact position.  Pools are predicate-pure by construction
-            and returned *unsorted* — only the pool of the atom the
-            search actually branches on gets ordered."""
-            pool: Optional[set[Atom]] = None
-            for position, src_term in enumerate(at.args):
-                if isinstance(src_term, Constant):
-                    image: Optional[Term] = src_term
-                else:
-                    image = assignment.get(src_term)
-                if image is None:
-                    continue
-                bucket = target._with_position_raw(at.predicate, position, image)
-                pool = bucket if pool is None else (pool & bucket)
-                if not pool:
-                    return AtomSet._EMPTY
-            if pool is None:
-                return target._with_predicate_raw(at.predicate)
-            return pool
-
-        def ordered(pool) -> list[Atom]:
-            return sorted(pool, key=Atom.sort_key)
-
-    else:
-
-        def candidates(at: Atom) -> list[Atom]:
-            """The naive pools (term-containment index, filtered to the
-            predicate, sorted eagerly) — the reference the compiled
-            kernel is differentially tested against."""
-            pool: Optional[set[Atom]] = None
-            for src_term in at.args:
-                if isinstance(src_term, Constant):
-                    image: Optional[Term] = src_term
-                else:
-                    image = assignment.get(src_term)
-                if image is None:
-                    continue
-                bucket = target._containing_raw(image)
-                pool = bucket if pool is None else (pool & bucket)
-                if not pool:
-                    return []
-            if pool is None:
-                pool = target._with_predicate_raw(at.predicate)
-            matching = [cand for cand in pool if cand.predicate == at.predicate]
-            matching.sort(key=Atom.sort_key)
-            return matching
-
-        def ordered(pool: list[Atom]) -> list[Atom]:
-            return pool
+    def candidates(at: Atom) -> list[Atom]:
+        """The target atoms *at* may map to under the current
+        assignment: the term-containment index narrowed by every
+        decided argument, filtered to the predicate, in sorted order."""
+        pool: Optional[set[Atom]] = None
+        for src_term in at.args:
+            if isinstance(src_term, Constant):
+                image: Optional[Term] = src_term
+            else:
+                image = assignment.get(src_term)
+            if image is None:
+                continue
+            bucket = target._containing_raw(image)
+            pool = bucket if pool is None else (pool & bucket)
+            if not pool:
+                return []
+        if pool is None:
+            pool = target._with_predicate_raw(at.predicate)
+        matching = [cand for cand in pool if cand.predicate == at.predicate]
+        matching.sort(key=Atom.sort_key)
+        return matching
 
     def match_atom(at: Atom, candidate: Atom) -> Optional[list[Variable]]:
         """Try to extend the assignment so that ``at ↦ candidate``.
@@ -246,7 +219,7 @@ def homomorphisms(
                     break
         chosen = remaining.pop(best_index)
         assert best_pool is not None
-        for candidate in ordered(best_pool):
+        for candidate in best_pool:
             newly_bound = match_atom(chosen, candidate)
             if newly_bound is None:
                 continue

@@ -4,10 +4,9 @@ With the switch on (the default) the evaluation layers under the chase
 run accelerated:
 
 * :func:`repro.logic.homomorphism.homomorphisms` evaluates every
-  non-injective search on the compiled kernel (:mod:`repro.logic.
-  compiled` — interned terms, columnar relations, join plans), and the
-  injective searches it keeps on the object path narrow their candidate
-  pools through the positional atom index;
+  search, injective ones included, on the compiled kernel
+  (:mod:`repro.logic.compiled` — interned terms, columnar relations,
+  join plans);
 * a :class:`repro.chase.engine.ChaseEngine` maintains its live-trigger
   pool with a :class:`~repro.chase.compiled_index.CompiledTriggerIndex`
   and, for the core variant, computes per-step retractions with the
@@ -35,7 +34,7 @@ _atom_index: bool = True
 
 def atom_index_enabled() -> bool:
     """True iff searches and chase runs may use the accelerated layers
-    (the compiled kernel and the positional atom index)."""
+    (the compiled kernel, the trigger index, core maintenance)."""
     return _atom_index
 
 

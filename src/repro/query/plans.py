@@ -166,8 +166,6 @@ class QueryPlanCache:
         self.max_work = max_work
         self._memory: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        self.lookups = 0
-        self.hits = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -176,10 +174,6 @@ class QueryPlanCache:
     def clear(self) -> None:
         with self._lock:
             self._memory.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
     def plan_for(
         self,
@@ -200,11 +194,9 @@ class QueryPlanCache:
         plan: Optional[CompiledQueryPlan] = None
 
         with self._lock:
-            self.lookups += 1
             cached = self._memory.get(key)
             if cached is not None:
                 self._memory.move_to_end(key)
-                self.hits += 1
                 plan, source = cached, "memory"
         if plan is None and self.store is not None:
             payload = self.store.load_query_plan(rules_fp, shape)
@@ -216,7 +208,6 @@ class QueryPlanCache:
                     plan = None
             if plan is not None:
                 with self._lock:
-                    self.hits += 1
                     self._remember(key, plan)
         if plan is None:
             plan = self._compute(kb.rules, query)

@@ -177,6 +177,8 @@ class JobRequest:
             isinstance(text, str) for text in self.queries
         ):
             raise ValueError("job request field 'queries' must be a list of strings")
+        if self.strategy is not None:
+            Strategy.from_obj(self.strategy)
 
     def dedup_key(self) -> tuple:
         """The coalescing identity: everything that shapes the answer.

@@ -347,12 +347,12 @@ class TestServiceIntegration:
         assert result.entailed is True
 
     def test_bad_strategy_override_fails_cleanly(self):
-        request = self.entail_request(
-            transitive_closure_kb(3), "e(v0, v3)", strategy={"variant": "core"}
-        )
-        result = execute_job(request)
-        assert not result.ok
-        assert "missing fields" in result.error
+        # Built where the request is built: a bad override is a bad
+        # request (a ValueError), not a job that runs and fails.
+        with pytest.raises(ValueError, match="missing fields"):
+            self.entail_request(
+                transitive_closure_kb(3), "e(v0, v3)", strategy={"variant": "core"}
+            )
 
     def test_plain_path_reports_no_strategy(self):
         result = execute_job(self.entail_request(transitive_closure_kb(3), "e(v0, v3)"))

@@ -11,7 +11,8 @@ the compiled layer's own invariants:
   equals one rebuilt from scratch;
 * the compiled evaluator returns the naive search's witnesses, including
   under partial assignments and forbidden images, and ``injective``
-  searches (which stay on the object path) agree with the naive ones;
+  searches run on it (outside ``no_index()``) and agree with the naive
+  ones;
 * the semi-naive ``CompiledTriggerIndex`` survives mid-chase
   ``CoreMaintainer`` retractions with a live pool identical to a
   from-scratch rescan;
@@ -22,18 +23,21 @@ the compiled layer's own invariants:
 import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.chase.compiled_index import CompiledTriggerIndex
 from repro.chase.engine import ChaseEngine, ChaseVariant, run_chase
 from repro.chase.trigger import triggers
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.staircase import staircase_kb
 from repro.logic import indexing
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, Predicate
 from repro.logic.atomset import AtomSet
-from repro.logic.compiled import compiled_homomorphisms, compiled_view
+from repro.logic.compiled import compiled_homomorphisms, compiled_view, plans
 from repro.logic.compiled.interner import reset_symbol_table, symbol_table
 from repro.logic.homomorphism import homomorphisms
-from repro.logic.isomorphism import isomorphic
+from repro.logic.isomorphism import find_isomorphism, isomorphic
 from repro.logic.parser import parse_atoms
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, FreshVariableSource, Variable
@@ -177,6 +181,47 @@ def _naive_witnesses(source, target, **kw):
         return set(homomorphisms(source, target, **kw))
 
 
+_SOURCE_TERMS = [Variable("X"), Variable("Y"), Variable("Z"), Constant("a"), Constant("b")]
+_TARGET_TERMS = [Variable("U"), Variable("V"), Variable("X"), Constant("a"), Constant("c")]
+
+
+def _atom_lists(terms, min_size):
+    term = st.sampled_from(terms)
+    return st.lists(
+        st.one_of(
+            st.builds(lambda t: Atom(Predicate("p", 1), (t,)), term),
+            st.builds(lambda s, t: Atom(Predicate("e", 2), (s, t)), term, term),
+        ),
+        min_size=min_size,
+        max_size=4,
+    )
+
+
+@st.composite
+def injective_problems(draw):
+    """A small source over nulls and constants; a target holding a
+    random image of it plus random atoms; a ``partial`` whose images
+    often collide with each other or with a constant of the source (it
+    may also bind a variable outside the source); random forbidden
+    images."""
+    source = AtomSet(draw(_atom_lists(_SOURCE_TERMS, 1)))
+    variables = sorted(source.variables(), key=lambda v: v.name)
+    image = Substitution(
+        {v: draw(st.sampled_from(_TARGET_TERMS)) for v in variables}
+    )
+    target = image.apply(source)
+    target.update(draw(_atom_lists(_TARGET_TERMS, 0)))
+    partial = draw(
+        st.dictionaries(
+            st.sampled_from(variables + [Variable("Q")]),
+            st.sampled_from(_TARGET_TERMS),
+            max_size=2,
+        )
+    )
+    forbidden = draw(st.lists(st.sampled_from(_TARGET_TERMS), max_size=2))
+    return source, target, Substitution(partial), forbidden
+
+
 class TestWitnessParity:
     def test_witness_lists_identical_in_order(self):
         source = AtomSet(parse_atoms("e(X, Y), e(Y, Z)"))
@@ -210,10 +255,10 @@ class TestWitnessParity:
             compiled_homomorphisms(source, target)
         ) == _naive_witnesses(source, target)
 
-    def test_injective_search_bails_to_object_path(self):
-        """Injective (isomorphism-style) searches are not compiled; the
-        router hands them to the object engine, which enforces the
-        image-disjointness discipline the plans do not model."""
+    def test_injective_search_matches_naive(self):
+        """Injective (isomorphism-style) searches run on the kernel,
+        which blocks every image already taken: its witnesses reuse no
+        image and equal the naive reference's."""
         source = AtomSet(parse_atoms("e(X, Y), e(Y, Z)"))
         target = AtomSet(parse_atoms("e(a, b), e(b, c), e(c, a), e(a, a)"))
         found = set(homomorphisms(source, target, injective=True))
@@ -221,6 +266,37 @@ class TestWitnessParity:
             len({term for _, term in hom.items()}) == len(hom) for hom in found
         ), "an injective witness reused an image"
         assert found == _naive_witnesses(source, target, injective=True)
+
+    @given(problem=injective_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_injective_witnesses_equal_naive_on_random_atomsets(self, problem):
+        source, target, partial, forbidden = problem
+        kw = dict(partial=partial, forbidden_images=forbidden, injective=True)
+        found = list(homomorphisms(source, target, **kw))
+        assert len(found) == len(set(found))
+        assert set(found) == _naive_witnesses(source, target, **kw)
+        terms = source.terms()
+        for hom in found:
+            assert len({hom.apply_term(t) for t in terms}) == len(terms)
+
+    def test_injective_searches_run_on_the_kernel(self, monkeypatch):
+        """``find_isomorphism`` reaches the kernel outside ``no_index()``
+        and never inside it."""
+        calls = []
+        kernel = plans.compiled_homomorphisms
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["injective"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(plans, "compiled_homomorphisms", counting)
+        left = parse_atoms("e(X, Y), e(Y, c)")
+        right = parse_atoms("e(U, V), e(V, c)")
+        assert find_isomorphism(left, right) is not None
+        assert calls == [True]
+        with indexing.no_index():
+            assert find_isomorphism(left, right) is not None
+        assert calls == [True]
 
 
 # ---------------------------------------------------------------------------

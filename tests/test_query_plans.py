@@ -3,6 +3,7 @@ tiers, and the ``batch_entail`` service path."""
 
 import asyncio
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -137,15 +138,26 @@ class TestPlanRoundTrip:
         assert plan.evaluate(transitive_closure_kb(2).facts) is None
 
 
+@contextmanager
+def counting():
+    """Count plan lookups and cache hits the way the ``stats`` op does:
+    through the metric updates of the lookups' ``query_rewrite``
+    events.  Yields the registry's counter accessor."""
+    registry = MetricsRegistry()
+    with observing(MetricsObserver(registry)):
+        yield registry.counter
+
+
 class TestCacheTiers:
     def test_memory_tier_hits_for_alpha_variants(self):
         cache = QueryPlanCache()
         kb = manager_kb()
-        first = cache.plan_for(kb, boolean_cq("mgr(X, Y)"))
-        second = cache.plan_for(kb, boolean_cq("mgr(A, B)"))
+        with counting() as counter:
+            first = cache.plan_for(kb, boolean_cq("mgr(X, Y)"))
+            second = cache.plan_for(kb, boolean_cq("mgr(A, B)"))
         assert second is first  # same object: compiled joins stay warm
-        assert cache.lookups == 2 and cache.hits == 1
-        assert cache.hit_ratio == pytest.approx(0.5)
+        assert counter("query.plan_lookups").value == 2
+        assert counter("query.plan_cache_hits").value == 1
 
     def test_store_tier_survives_a_fresh_process_cache(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -154,19 +166,21 @@ class TestCacheTiers:
         warm.plan_for(kb, boolean_cq("mgr(X, Y)"))
         # a second in-process cache simulates another pool worker
         cold = QueryPlanCache(store=store)
-        plan = cold.plan_for(kb, boolean_cq("mgr(U, V)"))
-        assert cold.hits == 1
+        with counting() as counter:
+            plan = cold.plan_for(kb, boolean_cq("mgr(U, V)"))
+        assert counter("query.plan_cache_hits").value == 1
         assert plan.evaluate(kb.facts) is True
 
     def test_ruleset_change_invalidates(self, tmp_path):
         store = SnapshotStore(tmp_path)
         cache = QueryPlanCache(store=store)
         query = boolean_cq("l4(X)")
-        shallow = cache.plan_for(layered_kb(2), query)
-        deep = cache.plan_for(layered_kb(4), query)
+        with counting() as counter:
+            shallow = cache.plan_for(layered_kb(2), query)
+            deep = cache.plan_for(layered_kb(4), query)
         # different fingerprints: the deeper ruleset recomputes and the
         # two plans coexist under distinct keys
-        assert cache.hits == 0
+        assert counter("query.plan_cache_hits").value == 0
         assert len(cache) == 2
         assert len(deep.disjuncts) != len(shallow.disjuncts)
 
@@ -181,19 +195,22 @@ class TestCacheTiers:
         shape = query_shape(boolean_cq("mgr(X, Y)").atoms)
         store.save_query_plan(fp, shape, {"disjuncts": [[1, 2]]})
         fresh = QueryPlanCache(store=store)
-        recomputed = fresh.plan_for(kb, boolean_cq("mgr(X, Y)"))
-        assert fresh.hits == 0  # corrupt row did not count as a hit
+        with counting() as counter:
+            recomputed = fresh.plan_for(kb, boolean_cq("mgr(X, Y)"))
+        # the corrupt row did not count as a hit
+        assert counter("query.plan_cache_hits").value == 0
         assert recomputed.evaluate(kb.facts) == plan.evaluate(kb.facts)
 
     def test_memory_lru_evicts_oldest(self):
         cache = QueryPlanCache(memory_limit=2)
         kb = manager_kb()
-        cache.plan_for(kb, boolean_cq("mgr(X, Y)"))
-        cache.plan_for(kb, boolean_cq("emp(X)"))
-        cache.plan_for(kb, boolean_cq("mgr(ann, Y)"))
-        assert len(cache) == 2
-        cache.plan_for(kb, boolean_cq("mgr(X, Y)"))  # evicted: recompute
-        assert cache.hits == 0
+        with counting() as counter:
+            cache.plan_for(kb, boolean_cq("mgr(X, Y)"))
+            cache.plan_for(kb, boolean_cq("emp(X)"))
+            cache.plan_for(kb, boolean_cq("mgr(ann, Y)"))
+            assert len(cache) == 2
+            cache.plan_for(kb, boolean_cq("mgr(X, Y)"))  # evicted: recompute
+        assert counter("query.plan_cache_hits").value == 0
 
     def test_lookups_emit_observer_events(self):
         registry = MetricsRegistry()

@@ -156,6 +156,51 @@ class TestProtocol:
             assert by_id[name]["error"].startswith("bad request: "), by_id[name]
             assert f"'{name}'" in by_id[name]["error"], by_id[name]
 
+    def test_wrongly_typed_strategy_fields_are_bad_requests(self, tmp_path):
+        # The strategy override is built where its JobRequest is built, so
+        # each of its fields is type-checked before dedup; a non-string
+        # name used to be accepted and then break the ``stats`` op, which
+        # sorts the per-strategy counts.
+        override = {"variant": "core", "core_every": 4, "max_steps": 5,
+                    "model_budget": 0}
+        wrong = {
+            "name": 5,
+            "variant": ["core"],
+            "core_every": "4",
+            "max_steps": "5",
+            "model_budget": True,
+            "ancestor_resume": "no",
+            "rewrite": "yes",
+            "reason": 1,
+        }
+
+        async def scenario():
+            server, executor, task = await start_server(tmp_path)
+            responses = await request_lines(
+                server.port,
+                [
+                    {"op": "entail", "kb_text": TC, "query": "e(v0, v3)",
+                     "strategy": {**override, name: value}, "id": name}
+                    for name, value in wrong.items()
+                ]
+                + [
+                    {"op": "entail", "kb_text": TC, "query": "e(v0, v3)",
+                     "strategy": {**override, "name": "pinned"}, "id": "ok"}
+                ],
+            )
+            stats = await request_lines(server.port, [{"op": "stats"}])
+            await shut_down(server, executor, task)
+            return {r["id"]: r for r in responses}, stats[0]
+
+        by_id, stats = asyncio.run(scenario())
+        for name in wrong:
+            assert not by_id[name]["ok"], name
+            assert by_id[name]["error"].startswith("bad request: "), by_id[name]
+            assert f"'{name}'" in by_id[name]["error"], by_id[name]
+        assert by_id["ok"]["ok"] and by_id["ok"]["strategy"] == "pinned"
+        assert stats["ok"], stats
+        assert stats["planner"]["strategies"] == {"pinned": 1}
+
     def test_batch_op(self, tmp_path):
         async def scenario():
             server, executor, task = await start_server(tmp_path)
