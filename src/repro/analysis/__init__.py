@@ -37,7 +37,6 @@ from .guardedness import (
     is_guarded_rule,
 )
 from .sticky import is_sticky, sticky_marking
-from .summary import RulesetReport, analyze_ruleset
 from .rule_dependencies import (
     atoms_may_unify,
     is_rule_acyclic,
@@ -50,7 +49,6 @@ from .weak_acyclicity import DependencyGraph, dependency_graph, is_weakly_acycli
 
 __all__ = [
     "BreadthProbe",
-    "RulesetReport",
     "SIZE",
     "STRATEGY_NAMES",
     "TERM_COUNT",
@@ -62,7 +60,6 @@ __all__ = [
     "Strategy",
     "StructuralMeasure",
     "Verdict",
-    "analyze_ruleset",
     "atoms_may_unify",
     "certify_fes",
     "default_planner",

@@ -49,7 +49,7 @@ from typing import Optional
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.rules import ExistentialRule, RuleSet
-from ..logic.terms import Constant, Variable
+from ..logic.terms import Variable
 
 __all__ = [
     "is_linear_rule",

@@ -66,9 +66,10 @@ __all__ = [
 def ruleset_fingerprint(rules: RuleSet) -> str:
     """Canonical content hash of *rules* alone — the verdict-cache key.
 
-    Same definition as the snapshot catalog's ``rules_fingerprint``
-    (sha256 of the deterministic ruleset serialization), so verdicts and
-    snapshots of one ruleset share an identity."""
+    The one definition (sha256 of the deterministic ruleset
+    serialization): the snapshot catalog files its ``rules_fingerprint``
+    column and the query-plan cache its keys under it too, so verdicts,
+    snapshots and plans of one ruleset share an identity."""
     return hashlib.sha256(dump_ruleset(rules).encode()).hexdigest()
 
 
@@ -308,7 +309,6 @@ class Planner:
         fes_budget: int = 60,
         k_max: int = 6,
         k_atom_budget: int = 1500,
-        shape_budget: int = 4096,
     ):
         # fes_budget stays small by design: a core-chase probe on a KB
         # whose core grows (the manager/elevator family) costs
@@ -318,7 +318,6 @@ class Planner:
         self.fes_budget = fes_budget
         self.k_max = k_max
         self.k_atom_budget = k_atom_budget
-        self.shape_budget = shape_budget
         self._cache: OrderedDict[str, Verdict] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -353,11 +352,7 @@ class Planner:
         weakly_acyclic = is_weakly_acyclic(rules)
         rule_acyclic = is_rule_acyclic(rules)
         linear = is_linear(rules)
-        linear_terminating = (
-            linear_chase_terminates(rules, max_shapes=self.shape_budget)
-            if linear
-            else None
-        )
+        linear_terminating = linear_chase_terminates(rules) if linear else None
         k_bound = None
         fes_applications = None
         fes_consumed = 0

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Five subcommands cover the everyday workflows on serialized knowledge
+Eight subcommands cover the everyday workflows on serialized knowledge
 bases (see :mod:`repro.logic.serialization` for the file format):
 
 ``chase``
@@ -9,16 +9,14 @@ bases (see :mod:`repro.logic.serialization` for the file format):
     telemetry (:mod:`repro.obs`), ``--metrics`` prints the metrics
     registry afterwards, ``--json`` emits a machine-readable summary.
 ``entail``
-    Decide a Boolean CQ with the Theorem-1 race.
+    Decide a Boolean CQ with the Theorem-1 race, after the backward
+    UCQ-rewriting fast path on linear/guarded rulesets (``--no-rewrite``
+    skips it).
 ``analyze``
     The full analyzer: every syntactic criterion, the linear-fragment
     termination decision, the breadth-level k-boundedness probe, the
     budgeted fes certificate, and the execution strategy the planner
     derives from the verdict (``--json`` for the machine shape).
-``classify``
-    Deprecated alias kept for scripts: the syntactic analysis (weak
-    acyclicity, guardedness, rule acyclicity) and the budgeted fes
-    certificate.  Prints a pointer to ``analyze`` on stderr.
 ``treewidth``
     Treewidth of an instance file (exact, with bounds fallback).
 ``stats``
@@ -66,7 +64,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analysis import analyze_ruleset
 from .chase.engine import ChaseVariant, run_chase
 from .logic.serialization import load_instance, load_kb_file
 from .obs import (
@@ -150,19 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         "UNDECIDED with the incomplete flag set",
     )
     entail.add_argument(
-        "--rewrite",
-        dest="rewrite",
-        action="store_true",
-        default=None,
-        help="attempt the backward UCQ-rewriting fast path before the "
-        "chase race (the default for linear/guarded rulesets; the race "
-        "remains the sound fallback when rewriting is inconclusive)",
-    )
-    entail.add_argument(
         "--no-rewrite",
         dest="rewrite",
         action="store_false",
-        help="skip the rewriting fast path and run the pure Theorem-1 race",
+        help="skip the backward UCQ-rewriting fast path (tried first on "
+        "linear/guarded rulesets) and run the pure Theorem-1 race",
     )
     entail.add_argument(
         "--json",
@@ -192,19 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the verdict and strategy as JSON instead of text",
-    )
-
-    classify = commands.add_parser(
-        "classify",
-        help="(deprecated: use 'analyze') syntactic analysis + fes "
-        "certificate",
-    )
-    classify.add_argument("kb", help="knowledge base file")
-    classify.add_argument("--steps", type=int, default=200)
-    classify.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the analysis report as JSON instead of text",
     )
 
     width = commands.add_parser("treewidth", help="treewidth of an instance")
@@ -461,7 +437,7 @@ def _cmd_entail(args: argparse.Namespace) -> int:
     kb = load_kb_file(args.kb)
     deadline = Deadline(args.timeout) if args.timeout is not None else None
     verdict = None
-    if args.rewrite is not False:
+    if args.rewrite:
         # Auto-attempts on rewritable rulesets; returns None (and the
         # race below answers) when the fragment check fails or the
         # budgeted saturation is inconclusive.
@@ -495,57 +471,6 @@ def _cmd_entail(args: argparse.Namespace) -> int:
         return 2
     print(f"{'ENTAILED' if verdict.entailed else 'NOT ENTAILED'} ({verdict.method})")
     return 0 if verdict.entailed else 1
-
-
-def _classify_report(args: argparse.Namespace) -> int:
-    """The classify report body, shared by ``classify`` (deprecated)
-    and kept byte-stable on stdout for scripts that parse it."""
-    kb = load_kb_file(args.kb)
-    report = analyze_ruleset(kb.rules, kb=kb, fes_budget=args.steps)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "rules": len(kb.rules),
-                    "facts": len(kb.facts),
-                    "weakly_acyclic": report.weakly_acyclic,
-                    "guarded": report.guarded,
-                    "frontier_guarded": report.frontier_guarded,
-                    "sticky": report.sticky,
-                    "rule_acyclic": report.rule_acyclic,
-                    "fes_applications": report.fes_applications,
-                    "fes_budget": args.steps,
-                    "fes_budget_consumed": report.fes_budget_consumed,
-                    "decidable_cq_entailment": report.decidable_cq_entailment,
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(f"rules: {len(kb.rules)}, facts: {len(kb.facts)}")
-    print(f"weakly acyclic:    {report.weakly_acyclic}")
-    print(f"guarded:           {report.guarded}")
-    print(f"frontier-guarded:  {report.frontier_guarded}")
-    print(f"sticky:            {report.sticky}")
-    print(f"rule-acyclic:      {report.rule_acyclic}")
-    if report.fes_applications is None:
-        print(f"fes (this instance): unknown within {args.steps} steps")
-    else:
-        print(
-            "fes (this instance): yes, core chase terminated in "
-            f"{report.fes_applications}"
-        )
-    print(f"decidable CQ entailment certified: {report.decidable_cq_entailment}")
-    return 0
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    print(
-        "repro classify is deprecated; use 'repro analyze' "
-        "(same classes, plus termination probes and the planner verdict)",
-        file=sys.stderr,
-    )
-    return _classify_report(args)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -930,7 +855,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "chase": _cmd_chase,
         "entail": _cmd_entail,
         "analyze": _cmd_analyze,
-        "classify": _cmd_classify,
         "treewidth": _cmd_treewidth,
         "stats": _cmd_stats,
         "serve": _cmd_serve,

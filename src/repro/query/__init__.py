@@ -23,7 +23,7 @@ from .rewriting import (
     rewritable_fragment,
     rewrite_ucq,
 )
-from .ucq import UnionQuery, decide_union_entailment
+from .ucq import UnionQuery
 
 __all__ = [
     "ConjunctiveQuery",
@@ -39,7 +39,6 @@ __all__ = [
     "decide_entailment",
     "entails_via_terminating_chase",
     "UnionQuery",
-    "decide_union_entailment",
     "find_countermodel",
     "find_finite_model",
     "CompiledQueryPlan",

@@ -14,18 +14,22 @@ Three procedures, in increasing generality:
    search standing in for the Courcelle machinery; see
    :mod:`repro.query.modelfinder` and DESIGN.md for the substitution
    argument).  Returns a verdict with the certificate that settled it.
+
+(2) and (3) take a CQ or a :class:`~repro.query.ucq.UnionQuery`: one
+race serves both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..chase.engine import ChaseVariant, run_chase
 from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
 from .cq import ConjunctiveQuery
 from .modelfinder import find_countermodel
+from .ucq import UnionQuery
 
 __all__ = [
     "EntailmentVerdict",
@@ -82,7 +86,7 @@ def entails_via_terminating_chase(
 
 def chase_entails_prefix(
     kb: KnowledgeBase,
-    query: ConjunctiveQuery,
+    query: Union[ConjunctiveQuery, UnionQuery],
     max_steps: int = 200,
     variant: str = ChaseVariant.RESTRICTED,
     should_stop: Optional[Callable[[], bool]] = None,
@@ -98,6 +102,11 @@ def chase_entails_prefix(
     "no".  ``should_stop`` (e.g. a :class:`repro.service.deadline.
     Deadline`) cuts the run short; a stop before any verdict returns an
     undecided result flagged ``incomplete``.
+
+    A :class:`~repro.query.ucq.UnionQuery` shares the one chase: each
+    step's aggregation is tested against every disjunct, so the budget
+    does not scale with the disjunct count, and a fixpoint no disjunct
+    maps into refutes the whole union.
     """
     aggregation = AtomSet()
     hit = [False]
@@ -143,7 +152,7 @@ def chase_entails_prefix(
 
 def decide_entailment(
     kb: KnowledgeBase,
-    query: ConjunctiveQuery,
+    query: Union[ConjunctiveQuery, UnionQuery],
     chase_budget: int = 200,
     model_domain_budget: int = 8,
     chase_variant: str = ChaseVariant.RESTRICTED,
@@ -160,6 +169,11 @@ def decide_entailment(
     the soundest verdict reached so far, flagged ``incomplete``: the
     countermodel search polls it too, and a search it cuts or skips is
     labelled ``chase-stopped``.
+
+    *query* may be a CQ or a :class:`~repro.query.ucq.UnionQuery`.  For
+    a union the "yes" side tests every disjunct on one chase, and the
+    "no" side needs one finite model that avoids every disjunct at once
+    (per-disjunct countermodels would be unsound).
     """
     yes = chase_entails_prefix(
         kb,

@@ -10,10 +10,12 @@ the compiled plans — the point of this cache.
 
 Keying: ``(ruleset_fingerprint, query_shape)``.  The fingerprint is the
 same sha256 the verdict cache and snapshot catalog use, so a ruleset
-change rolls every dependent plan at once.  :func:`query_shape` renames
-variables by first occurrence over the deterministic sorted atom order,
-so equal shapes imply alpha-equivalent queries — a shared cache entry is
-always sound; alpha-variants that sort differently merely miss.
+change rolls every dependent plan at once.  The shape is
+:func:`~.rewriting.query_shape`, the rewriting's own dedup key,
+re-exported here: it renames variables by first occurrence over the
+deterministic sorted atom order and sorts the rendered atoms, so equal
+shapes imply alpha-equivalent queries — a shared cache entry is always
+sound; alpha-variants that sort differently merely miss.
 
 Two tiers, like the PR-9 verdict cache: an in-process LRU (plan objects,
 compiled joins warm) in front of a ``query_plans`` table in the snapshot
@@ -27,22 +29,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..analysis.planner import ruleset_fingerprint
 from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
-from ..logic.terms import Variable
 from ..obs import observer as _observer_state
 from ..obs.spans import span as _span
 from .cq import ConjunctiveQuery, boolean_cq
-from .rewriting import (
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_MAX_DISJUNCTS,
-    DEFAULT_MAX_WORK,
-    rewritable_fragment,
-    rewrite_ucq,
-)
+from .rewriting import query_shape, rewritable_fragment, rewrite_ucq
 
 __all__ = [
     "CompiledQueryPlan",
@@ -53,30 +48,6 @@ __all__ = [
 
 #: Default capacity of the in-process plan LRU.
 DEFAULT_MEMORY_LIMIT = 256
-
-
-def query_shape(atoms: AtomSet) -> str:
-    """The canonical shape of a Boolean CQ — the plan-cache key part.
-
-    Variables are renamed by first occurrence over the sorted atom
-    order, constants keep their names.  Equal shapes imply the queries
-    are identical up to variable renaming (the string determines the
-    atoms up to that renaming), which is exactly the equivalence under
-    which a Boolean plan may be shared.
-    """
-    names: Dict[Variable, str] = {}
-    parts = []
-    for at in atoms.sorted_atoms():
-        rendered = []
-        for term in at.args:
-            if isinstance(term, Variable):
-                if term not in names:
-                    names[term] = f"V{len(names)}"
-                rendered.append(names[term])
-            else:
-                rendered.append(f"c:{term.name}")
-        parts.append(f"{at.predicate.name}({','.join(rendered)})")
-    return ";".join(parts)
 
 
 @dataclass(frozen=True)
@@ -155,15 +126,9 @@ class QueryPlanCache:
         self,
         store=None,
         memory_limit: int = DEFAULT_MEMORY_LIMIT,
-        max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        max_work: int = DEFAULT_MAX_WORK,
     ):
         self.store = store
         self.memory_limit = memory_limit
-        self.max_disjuncts = max_disjuncts
-        self.max_depth = max_depth
-        self.max_work = max_work
         self._memory: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -242,13 +207,7 @@ class QueryPlanCache:
         if fragment is None:
             return CompiledQueryPlan(None, False, ())
         with _span("query-plan", fragment=fragment):
-            result = rewrite_ucq(
-                rules,
-                query,
-                max_disjuncts=self.max_disjuncts,
-                max_depth=self.max_depth,
-                max_work=self.max_work,
-            )
+            result = rewrite_ucq(rules, query)
         return CompiledQueryPlan(
             fragment=fragment,
             complete=result.complete,

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.guardedness import is_guarded
 from ..analysis.linearity import is_linear
@@ -58,6 +58,7 @@ from .entailment import EntailmentVerdict
 
 __all__ = [
     "RewriteResult",
+    "query_shape",
     "rewritable_fragment",
     "rewrite_ucq",
     "decide_by_rewriting",
@@ -249,11 +250,20 @@ def _piece_rewrites(
             yield rewritten
 
 
-def _dedup_key(atoms: AtomSet) -> str:
-    """A fast alpha-invariant-ish dedup key (first-occurrence variable
-    renaming over the sorted atom order).  Imperfect canonicalization
-    only costs budget: logical duplicates it misses are still removed by
-    the subsumption check."""
+def query_shape(atoms: AtomSet) -> str:
+    """The canonical shape of a Boolean CQ: the rewriting's dedup key
+    and the plan-cache key part (:mod:`.plans`).
+
+    Variables are renamed by first occurrence over the sorted atom
+    order, constants keep their names, and the rendered atoms are sorted
+    before joining.  Equal shapes imply the queries are identical up to
+    variable renaming (the string determines the atoms up to that
+    renaming), which is exactly the equivalence under which a Boolean
+    plan may be shared.  The converse fails: alpha-variants that sort
+    differently get different shapes.  That only costs a cache miss, or
+    rewriting budget (logical duplicates the key misses are still
+    removed by the subsumption check).
+    """
     names: Dict[Variable, str] = {}
     parts = []
     for at in atoms.sorted_atoms():
@@ -304,8 +314,8 @@ def rewrite_ucq(
     original query, so ``evaluate`` is sound even when incomplete.
     """
     start = AtomSet(query.atoms)
-    kept: Dict[str, AtomSet] = {_dedup_key(start): start}
-    queue: deque = deque([(_dedup_key(start), 0)])
+    kept: Dict[str, AtomSet] = {query_shape(start): start}
+    queue: deque = deque([(query_shape(start), 0)])
     work = [0]
     counter = [0]
     generated = 0
@@ -315,7 +325,7 @@ def rewrite_ucq(
 
     def try_insert(candidate: AtomSet, depth: int) -> Optional[str]:
         nonlocal pruned, complete
-        key = _dedup_key(candidate)
+        key = query_shape(candidate)
         if key in kept:
             pruned += 1
             return None

@@ -87,9 +87,6 @@ class EntailmentServer:
         A :class:`~repro.service.faults.FaultPlan` whose armed
         ``server.drop_connection`` fuses abort the connection instead
         of writing a response (chaos testing only; None in production).
-    rolling_window:
-        How many recent job latencies the ``stats`` op's percentile
-        summary covers (:class:`~repro.obs.spans.RollingLatencies`).
     planner:
         When True, requests that neither set ``planner`` themselves nor
         carry an explicit ``strategy`` override are routed through the
@@ -117,7 +114,6 @@ class EntailmentServer:
         port: int = 0,
         default_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        rolling_window: int = 512,
         planner: bool = False,
     ):
         self.executor = executor
@@ -127,7 +123,7 @@ class EntailmentServer:
         self.fault_plan = fault_plan
         self.planner = planner
         self.registry = executor.registry
-        self.latencies = RollingLatencies(rolling_window)
+        self.latencies = RollingLatencies()
         self._inflight: dict[tuple, asyncio.Future] = {}
         #: dedup key -> the running job's span context, for coalesced
         #: requests to link against (cleared with _inflight).

@@ -89,6 +89,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
+from ..analysis.planner import ruleset_fingerprint
 from ..chase.engine import (
     ChaseState,
     ChaseStateDelta,
@@ -115,7 +116,6 @@ __all__ = [
     "DEFAULT_MAX_CHAIN_DEPTH",
     "CHAIN_BYTES_FACTOR",
     "kb_fingerprint",
-    "rules_fingerprint",
     "facts_manifest",
     "snapshot_key",
     "chase_state_to_obj",
@@ -154,12 +154,6 @@ def kb_fingerprint(kb: KnowledgeBase) -> str:
     """
     text = dump_instance(kb.facts) + "\n" + dump_ruleset(kb.rules)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def rules_fingerprint(kb: KnowledgeBase) -> str:
-    """Hash of the rules alone — the part ancestor candidates must share
-    exactly (a fact delta can be injected, a rule delta cannot)."""
-    return hashlib.sha256(dump_ruleset(kb.rules).encode()).hexdigest()
 
 
 def facts_manifest(kb: KnowledgeBase) -> list:
@@ -327,6 +321,9 @@ TMP_ORPHAN_GRACE = 300.0
 _CATALOG_NAME = "catalog.sqlite"
 _OBJECTS_DIR = "objects"
 
+#: Seconds a catalog operation waits for another connection's lock.
+_BUSY_TIMEOUT = 30.0
+
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
     k TEXT PRIMARY KEY,
@@ -460,7 +457,7 @@ class SnapshotStore:
         #: each thread's catalog connection; see _connection
         self._local = threading.local()
         with self._db() as conn:
-            conn.execute("PRAGMA journal_mode = WAL")
+            _enable_wal(conn)
             conn.executescript(_SCHEMA_SQL)
             conn.execute(
                 "INSERT OR IGNORE INTO meta (k, v) VALUES ('tick', 0)"
@@ -477,9 +474,9 @@ class SnapshotStore:
         ends)."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = sqlite3.connect(self._catalog, timeout=30.0)
+            conn = sqlite3.connect(self._catalog, timeout=_BUSY_TIMEOUT)
             conn.isolation_level = None  # explicit BEGIN/COMMIT in callers
-            conn.execute("PRAGMA busy_timeout = 30000")
+            conn.execute(f"PRAGMA busy_timeout = {int(_BUSY_TIMEOUT * 1000)}")
             conn.execute("PRAGMA synchronous = NORMAL")
             self._local.conn = conn
         return conn
@@ -849,7 +846,7 @@ class SnapshotStore:
         manifest = facts_manifest(kb)
         row_common = (
             kb_fp,
-            rules_fingerprint(kb),
+            ruleset_fingerprint(kb.rules),
             state.variant,
             state.core_every,
             state.applications,
@@ -1099,7 +1096,7 @@ class SnapshotStore:
             hashlib.sha256(str(atom).encode()).hexdigest()[:16]: atom
             for atom in kb.facts.sorted_atoms()
         }
-        rules_fp = rules_fingerprint(kb)
+        rules_fp = ruleset_fingerprint(kb.rules)
         query = (
             "SELECT key, head, chain_depth, chain_bytes, facts_manifest "
             "FROM snapshots WHERE rules_fingerprint = ? AND variant = ? "
@@ -1192,6 +1189,26 @@ class SnapshotStore:
                 seconds=time.perf_counter() - started,
             )
         return None
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch the catalog to WAL mode, waiting out a lock like every
+    other catalog operation does.
+
+    The switch needs an exclusive lock, and SQLite fails it at once
+    instead of calling the busy handler, so a store opened while another
+    connection holds the catalog (a sibling worker creating the same
+    fresh store) retries until :data:`_BUSY_TIMEOUT`.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
 
 
 def _dump_record(payload: dict) -> bytes:

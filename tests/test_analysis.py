@@ -7,6 +7,7 @@ from repro.analysis import (
     SIZE,
     TERM_COUNT,
     TREEWIDTH,
+    Planner,
     certify_fes,
     dependency_graph,
     is_frontier_guarded,
@@ -161,40 +162,34 @@ class TestMeasuresAndProfiles:
         assert certify_fes(bts_not_fes_kb(), max_steps=10) is None
 
 
-class TestRulesetReport:
+class TestRulesetVerdict:
+    """The planner's :class:`~repro.analysis.planner.Verdict` is the one
+    ruleset report; small probe budgets keep these cheap."""
+
+    @staticmethod
+    def report(kb):
+        return Planner(fes_budget=30, k_max=3, k_atom_budget=300).compute(kb)
+
     def test_academia_report(self):
-        from repro.analysis import analyze_ruleset
         from repro.kbs.ontology import academia_kb
 
-        kb = academia_kb()
-        report = analyze_ruleset(kb.rules, kb=kb, fes_budget=30)
+        report = self.report(academia_kb())
         assert report.guarded and report.frontier_guarded
         assert not report.weakly_acyclic
         assert report.fes_applications is None
-        assert report.decidable_cq_entailment  # via guardedness
+        assert report.decidable  # via guardedness
 
     def test_terminating_report(self):
-        from repro.analysis import analyze_ruleset
-
-        kb = transitive_closure_kb(2)
-        report = analyze_ruleset(kb.rules, kb=kb)
+        report = self.report(transitive_closure_kb(2))
         assert report.rule_acyclic is False  # recursive datalog
         assert report.weakly_acyclic
-        assert report.terminates_all_variants
-        assert report.fes_applications is not None
+        assert report.terminating
+        # Termination is certified syntactically, so the instance
+        # probes are skipped: they could add nothing.
+        assert report.k_bound is None and report.fes_applications is None
 
     def test_staircase_escapes_all_syntactic_criteria(self):
-        from repro.analysis import analyze_ruleset
-
-        report = analyze_ruleset(staircase_kb().rules)
-        assert not report.decidable_cq_entailment
+        report = self.report(staircase_kb())
+        assert not (report.terminating or report.bts_class)
+        assert not report.decidable
         # ... which is exactly why the paper's core-bts class is needed
-
-    def test_rows_render(self):
-        from repro.analysis import analyze_ruleset
-
-        kb = transitive_closure_kb(2)
-        rows = analyze_ruleset(kb.rules, kb=kb).as_rows()
-        labels = [label for label, _ in rows]
-        assert "guarded" in labels
-        assert any("fes" in label for label in labels)

@@ -248,11 +248,21 @@ class TestPlannerCache:
         planner.analyze(second)  # evicts first
         assert planner.analyze(first)[1] == "computed"
 
-    def test_fingerprint_matches_snapshot_catalog(self):
-        from repro.service.snapshots import rules_fingerprint
+    def test_fingerprint_matches_snapshot_catalog(self, tmp_path):
+        import sqlite3
+
+        from repro.chase.engine import ChaseEngine
 
         kb = manager_kb()
-        assert ruleset_fingerprint(kb.rules) == rules_fingerprint(kb)
+        engine = ChaseEngine(kb, variant=ChaseVariant.RESTRICTED)
+        engine.run(2)
+        SnapshotStore(tmp_path).save(kb, engine.export_state())
+        conn = sqlite3.connect(tmp_path / "catalog.sqlite")
+        try:
+            rows = conn.execute("SELECT rules_fingerprint FROM snapshots").fetchall()
+        finally:
+            conn.close()
+        assert rows == [(ruleset_fingerprint(kb.rules),)]
 
     def test_decide_emits_metrics(self):
         registry = MetricsRegistry()

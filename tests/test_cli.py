@@ -132,27 +132,6 @@ class TestEntailCommand:
         assert "UNDECIDED" in capsys.readouterr().out
 
 
-class TestClassifyCommand:
-    def test_reports_all_criteria(self, kb_file, capsys):
-        code = main(["classify", kb_file])
-        out = capsys.readouterr().out
-        assert code == 0
-        for needle in ("weakly acyclic", "guarded", "rule-acyclic", "fes"):
-            assert needle in out
-
-    def test_fes_certificate_shown(self, kb_file, capsys):
-        main(["classify", kb_file])
-        assert "core chase terminated" in capsys.readouterr().out
-
-    def test_deprecation_warning_on_stderr_only(self, kb_file, capsys):
-        code = main(["classify", kb_file])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "deprecated" in captured.err
-        assert "repro analyze" in captured.err
-        assert "deprecated" not in captured.out
-
-
 class TestAnalyzeCommand:
     def test_reports_verdict_and_strategy(self, kb_file, capsys):
         code = main(["analyze", kb_file])
@@ -187,25 +166,6 @@ class TestAnalyzeCommand:
         assert report["strategy"]["name"] == "terminating-fast"
         assert report["strategy"]["model_budget"] == 0
 
-    def test_subsumes_classify_json_fields(self, kb_file, capsys):
-        main(["classify", kb_file, "--json"])
-        classify = json.loads(capsys.readouterr().out)
-        main(["analyze", kb_file, "--json"])
-        analyze = json.loads(capsys.readouterr().out)
-        for field in (
-            "weakly_acyclic",
-            "guarded",
-            "frontier_guarded",
-            "sticky",
-            "rule_acyclic",
-        ):
-            assert analyze["verdict"][field] == classify[field]
-        # analyze skips the instance probes once termination is already
-        # syntactically certified; classify always runs the fes probe.
-        assert analyze["terminating"] is True
-        assert analyze["verdict"]["fes_applications"] is None
-        assert classify["fes_applications"] is not None
-
 
 class TestTreewidthCommand:
     def test_grid_width(self, tmp_path, capsys):
@@ -229,21 +189,6 @@ class TestEntailClassifyJson:
         verdict = json.loads(capsys.readouterr().out)
         assert code == 1
         assert verdict["entailed"] is False
-
-    def test_classify_json_report(self, kb_file, capsys):
-        code = main(["classify", kb_file, "--json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert report["weakly_acyclic"] is True
-        assert report["fes_applications"] is not None
-
-    def test_classify_json_reports_consumed_budget(self, kb_file, capsys):
-        main(["classify", kb_file, "--json"])
-        report = json.loads(capsys.readouterr().out)
-        # On success the consumed budget is exactly the certificate, not
-        # the --steps cap.
-        assert report["fes_budget_consumed"] == report["fes_applications"]
-        assert report["fes_budget_consumed"] < report["fes_budget"]
 
     def test_serve_planner_flags_parse(self):
         parser = build_parser()

@@ -24,7 +24,7 @@ from repro.logic.coremaint import (
     CoreMaintainer,
     _neighborhood_fingerprint,
 )
-from repro.logic.cores import core_of, core_retraction, is_core
+from repro.logic.cores import core_of, is_core
 from repro.logic.isomorphism import isomorphic
 from repro.logic.parser import parse_atoms
 

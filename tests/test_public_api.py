@@ -44,7 +44,6 @@ MODULES = [
     "repro.analysis.guardedness",
     "repro.analysis.rule_dependencies",
     "repro.analysis.sticky",
-    "repro.analysis.summary",
     "repro.analysis.classes",
     "repro.query",
     "repro.query.cq",

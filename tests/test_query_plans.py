@@ -9,7 +9,6 @@ import pytest
 
 from repro.kbs.generators import layered_kb
 from repro.kbs.witnesses import manager_kb, transitive_closure_kb
-from repro.logic.parser import parse_atoms
 from repro.logic.serialization import dump_kb
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import observing

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro import elevator_kb, staircase_kb
-from repro.chase.engine import ChaseEngine, ChaseVariant, run_chase
+from repro.chase.engine import ChaseEngine, run_chase
 from repro.kbs.generators import random_kb
 from repro.logic.isomorphism import isomorphic
 from repro.logic.serialization import dump_kb, load_kb
@@ -316,6 +316,30 @@ class TestLongLivedStore:
         finally:
             conn.close()
         assert mode == "wal"
+
+    def test_opening_a_locked_catalog_waits_for_the_lock(self, tmp_path):
+        # A fresh catalog still in rollback mode, write-locked by another
+        # connection that commits 0.3 s later: the WAL switch must wait
+        # for the lock like every other catalog operation, not fail.
+        holder = sqlite3.connect(
+            tmp_path / "catalog.sqlite",
+            isolation_level=None,
+            check_same_thread=False,
+        )
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, holder.commit)
+        release.start()
+        try:
+            started = time.monotonic()
+            store = SnapshotStore(tmp_path)
+            waited = time.monotonic() - started
+        finally:
+            release.join()
+            holder.close()
+        assert waited >= 0.2
+        assert store.entry_count() == 0
+        kb, _ = _saved(store, staircase_kb)
+        assert store.load(kb, "restricted", 1) is not None
 
     def test_operations_reuse_one_connection_per_thread(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -1,8 +1,11 @@
 """Tests for stickiness analysis and union queries."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import is_sticky, sticky_marking
+from repro.kbs.generators import random_kb
 from repro.kbs.staircase import staircase_kb
 from repro.kbs.witnesses import bts_not_fes_kb, transitive_closure_kb
 from repro.kbs.witnesses import manager_kb
@@ -12,7 +15,7 @@ from repro.query import (
     ConjunctiveQuery,
     UnionQuery,
     boolean_cq,
-    decide_union_entailment,
+    decide_entailment,
 )
 
 
@@ -80,14 +83,14 @@ class TestUnionQuery:
 
     def test_entailed_union_decided_yes(self):
         union = UnionQuery([boolean_cq("mgr(X, ann)"), boolean_cq("mgr(ann, X)")])
-        verdict = decide_union_entailment(manager_kb(), union, chase_budget=20)
+        verdict = decide_entailment(manager_kb(), union, chase_budget=20)
         assert verdict.entailed is True
 
     def test_refuted_union_needs_joint_countermodel(self):
         union = UnionQuery(
             [boolean_cq("mgr(X, ann)"), boolean_cq("emp(X), mgr(X, X)")]
         )
-        verdict = decide_union_entailment(manager_kb(), union, chase_budget=15)
+        verdict = decide_entailment(manager_kb(), union, chase_budget=15)
         assert verdict.entailed is False
         assert verdict.countermodel is not None
         assert not union.holds_in(verdict.countermodel)
@@ -95,7 +98,7 @@ class TestUnionQuery:
     def test_singleton_union_behaves_like_cq(self):
         kb = transitive_closure_kb(3)
         union = UnionQuery([boolean_cq("e(v0, v3)")])
-        assert decide_union_entailment(kb, union).entailed is True
+        assert decide_entailment(kb, union).entailed is True
 
 
 class TestUnionRaceRegressions:
@@ -115,7 +118,7 @@ class TestUnionRaceRegressions:
         )
         obs = MetricsObserver(MetricsRegistry())
         with observing(obs):
-            verdict = decide_union_entailment(
+            verdict = decide_entailment(
                 manager_kb(), union, chase_budget=12
             )
         assert verdict.entailed is True
@@ -130,7 +133,7 @@ class TestUnionRaceRegressions:
         # exactly — with the witness instance, no countermodel search.
         kb = transitive_closure_kb(3)
         union = UnionQuery([boolean_cq("e(v3, v0)"), boolean_cq("e(v2, v0)")])
-        verdict = decide_union_entailment(kb, union, model_domain_budget=0)
+        verdict = decide_entailment(kb, union, model_domain_budget=0)
         assert verdict.entailed is False
         assert verdict.method == "chase-fixpoint-miss"
         assert verdict.witness_instance is not None
@@ -138,7 +141,7 @@ class TestUnionRaceRegressions:
 
     def test_should_stop_cuts_union_decision_short(self):
         union = UnionQuery([boolean_cq("nope(X)"), boolean_cq("never(X)")])
-        verdict = decide_union_entailment(
+        verdict = decide_entailment(
             manager_kb(), union, chase_budget=50, should_stop=lambda: True
         )
         assert verdict.entailed is None
@@ -149,7 +152,7 @@ class TestUnionRaceRegressions:
         from repro.chase.engine import ChaseVariant
 
         union = UnionQuery([boolean_cq("mgr(X, Y)")])
-        verdict = decide_union_entailment(
+        verdict = decide_entailment(
             manager_kb(), union, chase_variant=ChaseVariant.CORE
         )
         assert verdict.entailed is True
@@ -159,7 +162,7 @@ class TestUnionRaceRegressions:
         # actually consumed, not echo the budget constant.
         union = UnionQuery([boolean_cq("nope(X)")])
         budget = 10
-        verdict = decide_union_entailment(
+        verdict = decide_entailment(
             manager_kb(), union, chase_budget=budget, model_domain_budget=0
         )
         assert verdict.entailed is None
@@ -167,7 +170,7 @@ class TestUnionRaceRegressions:
         # ... and on a terminating KB the count is the real fixpoint
         # size, strictly under the budget.
         kb = transitive_closure_kb(3)
-        refuted = decide_union_entailment(
+        refuted = decide_entailment(
             kb, UnionQuery([boolean_cq("e(v2, v0)")]), chase_budget=500
         )
         assert refuted.entailed is False
@@ -176,8 +179,6 @@ class TestUnionRaceRegressions:
     def test_cq_race_chase_steps_report_applications_not_budget(self):
         # Same bug pattern in decide_entailment: the countermodel and
         # race-undecided paths passed the budget constant through.
-        from repro.query import decide_entailment
-
         verdict = decide_entailment(
             manager_kb(),
             boolean_cq("emp(X), mgr(X, X)"),
@@ -191,3 +192,61 @@ class TestUnionRaceRegressions:
         refuted = decide_entailment(kb, boolean_cq("e(v2, v0)"), chase_budget=500)
         assert refuted.entailed is False
         assert 0 < refuted.chase_steps < 500
+
+
+#: Boolean CQs over random_kb's predicates; with the budgets below the
+#: race settles them in all four ways (prefix hit, fixpoint miss, finite
+#: countermodel, undecided) across random KBs.
+RACE_QUERIES = (
+    "e(X, Y)",
+    "e(X, X)",
+    "p(X, Y), q(Y, Z)",
+    "e(X, Y), e(Y, X)",
+    "q(c0, X)",
+    "p(X, X)",
+)
+
+RACE_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+race_seeds = st.integers(min_value=0, max_value=400)
+
+
+def small_race(seed, query):
+    kb = random_kb(rule_count=2, fact_count=4, seed=seed)
+    return decide_entailment(kb, query, chase_budget=8, model_domain_budget=4)
+
+
+class TestOneRaceForBothQueryTypes:
+    """``decide_entailment`` is one race for CQs and unions: a singleton
+    union answers exactly as its CQ, and an extra disjunct never delays
+    a prefix hit."""
+
+    @RACE_SETTINGS
+    @given(seed=race_seeds, text=st.sampled_from(RACE_QUERIES))
+    def test_singleton_union_answers_as_its_cq(self, seed, text):
+        query = boolean_cq(text)
+        alone = small_race(seed, query)
+        union = small_race(seed, UnionQuery([query]))
+        assert (union.entailed, union.method, union.chase_steps, union.incomplete) == (
+            alone.entailed,
+            alone.method,
+            alone.chase_steps,
+            alone.incomplete,
+        )
+
+    @RACE_SETTINGS
+    @given(
+        seed=race_seeds,
+        first=st.sampled_from(RACE_QUERIES),
+        second=st.sampled_from(RACE_QUERIES),
+    )
+    def test_extra_disjunct_never_delays_a_prefix_hit(self, seed, first, second):
+        alone = small_race(seed, boolean_cq(first))
+        assume(alone.method == "chase-prefix-hit")
+        union = small_race(seed, UnionQuery([boolean_cq(first), boolean_cq(second)]))
+        assert union.method == "chase-prefix-hit"
+        assert union.chase_steps <= alone.chase_steps
