@@ -14,7 +14,7 @@ steepening staircase — is answered twice per query:
   cheapest sound configuration.
 
 The planner side is charged its full cost: the first job per ruleset
-pays the analysis probes, later jobs hit the verdict cache.  Every row
+pays the ruleset analysis, later jobs hit the verdict cache.  Every row
 asserts the two modes return the **identical entailment answer** (the
 planner must never trade soundness for speed), and the table asserts
 the fleet-aggregate wall-clock speedup stays above
@@ -55,7 +55,7 @@ MIN_FLEET_SPEEDUP = 1.5
 
 #: (workload, kb factory, query, strategy the planner must pick).
 #: Repeated rulesets are deliberate — later rows per ruleset hit the
-#: verdict cache, amortising the analysis probes exactly as a serving
+#: verdict cache, amortising the ruleset analysis exactly as a serving
 #: fleet would.  Staircase rows use entailed-only queries: on a
 #: non-entailed staircase query the two modes would answer through
 #: different machinery (core fixpoint vs. countermodel search), and
@@ -142,7 +142,7 @@ def bench_perf_analyze_table():
         table,
         f"fleet aggregate: baseline {baseline_total:.3f}s vs planner-routed "
         f"{planner_total:.3f}s ({fleet_speedup:.1f}x; in-bench floor "
-        f"{MIN_FLEET_SPEEDUP}x).  Planner timings include the analysis "
-        "probes for the first job of each ruleset; identical entailment "
+        f"{MIN_FLEET_SPEEDUP}x).  Planner timings include the ruleset "
+        "analysis for the first job of each ruleset; identical entailment "
         "answers per row are asserted, not assumed.",
     )

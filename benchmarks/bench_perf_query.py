@@ -169,7 +169,7 @@ def bench_perf_query_table():
 
     Both modes run the same explicit chase configuration and differ
     only in the ``rewrite`` flag — no planner, so neither side is
-    charged the analysis probes (their cost and amortization are the
+    charged the ruleset analysis (its cost and amortization are the
     analyzer-gate's claim, bench_perf_analyze) and the measured delta
     is the rewriting layer alone.  The race side is the serving path
     exactly as PR 9 left it."""

@@ -26,7 +26,6 @@ from repro import (
     parse_atoms,
     parse_rules,
     run_chase,
-    semi_oblivious_chase,
 )
 from repro.analysis import certify_fes, is_weakly_acyclic
 from repro.chase import parse_egds, standard_chase

@@ -17,7 +17,6 @@ machinery anyway.  The pipeline:
 4. certain answers are computed for a free-variable query.
 """
 
-from repro import treewidth
 from repro.analysis import (
     TREEWIDTH,
     certify_fes,

@@ -1,8 +1,8 @@
 """Rule-set analysis: syntactic termination/boundedness criteria (weak
 acyclicity, guardedness, linearity), decision procedures for the linear
-fragment, breadth-level k-boundedness probing, the structural-measure
-machinery of Section 5 with budgeted empirical classifiers, and the
-verdict → strategy planner that routes the serving tier."""
+fragment, the structural-measure machinery of Section 5 with budgeted
+empirical classifiers, and the verdict → strategy planner that routes
+the serving tier."""
 
 from .classes import (
     SIZE,
@@ -11,14 +11,12 @@ from .classes import (
     ChaseProfile,
     StructuralMeasure,
     certify_fes,
-    fes_certificate,
     is_recurringly_bounded_prefix,
     is_uniformly_bounded,
     profile_chase,
     recurring_bound_estimate,
     uniform_bound,
 )
-from .kbound import BreadthProbe, probe_k_bound
 from .linearity import is_linear, is_linear_rule, linear_chase_terminates
 from .planner import (
     STRATEGY_NAMES,
@@ -48,7 +46,6 @@ from .positions import Position, positions_of_ruleset, variable_positions
 from .weak_acyclicity import DependencyGraph, dependency_graph, is_weakly_acyclic
 
 __all__ = [
-    "BreadthProbe",
     "SIZE",
     "STRATEGY_NAMES",
     "TERM_COUNT",
@@ -64,7 +61,6 @@ __all__ = [
     "certify_fes",
     "default_planner",
     "dependency_graph",
-    "fes_certificate",
     "guard_atom",
     "is_frontier_guarded",
     "is_frontier_guarded_rule",
@@ -80,7 +76,6 @@ __all__ = [
     "linear_chase_terminates",
     "plan",
     "positions_of_ruleset",
-    "probe_k_bound",
     "rule_dependency_edges",
     "rule_depends_on",
     "rule_strata",

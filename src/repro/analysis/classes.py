@@ -44,7 +44,6 @@ __all__ = [
     "ChaseProfile",
     "profile_chase",
     "certify_fes",
-    "fes_certificate",
 ]
 
 
@@ -160,32 +159,13 @@ def profile_chase(
     )
 
 
-def fes_certificate(
-    kb: KnowledgeBase, max_steps: int = 500
-) -> tuple[Optional[int], int]:
-    """Attempt the budgeted fes certificate; report the budget consumed.
-
-    Returns ``(certificate, consumed)``: *certificate* is the number of
-    core-chase applications when the chase terminated within budget
-    (an exact fes certificate for this instance), None otherwise;
-    *consumed* is the applications actually performed either way — on
-    failure that is the spent budget, mirroring how
-    :class:`~repro.treewidth.SearchBudgetExceeded` reports consumed
-    budget rather than the cap.
-    """
-    result = run_chase(kb, variant=ChaseVariant.CORE, max_steps=max_steps)
-    certificate = result.applications if result.terminated else None
-    return certificate, result.applications
-
-
 def certify_fes(kb: KnowledgeBase, max_steps: int = 500) -> Optional[int]:
     """Certify that the KB's core chase terminates (the *fes* criterion
     for this instance): returns the number of applications on success,
     None when the budget runs out (unknown / presumed non-terminating).
 
     The core chase terminates iff the KB has a finite universal model
-    [9], so a non-None answer is an exact certificate.  See
-    :func:`fes_certificate` for the variant that also reports the
-    budget consumed.
+    [9], so a non-None answer is an exact certificate.
     """
-    return fes_certificate(kb, max_steps=max_steps)[0]
+    result = run_chase(kb, variant=ChaseVariant.CORE, max_steps=max_steps)
+    return result.applications if result.terminated else None

@@ -1,16 +1,15 @@
-"""The routing brain: KB analysis verdicts → per-job execution strategy.
+"""The routing brain: ruleset verdicts → per-job execution strategy.
 
 The paper's Prop. 13 landscape (fes / bts / core-bts and their
 separations) is a routing signal: which chase variant, core-maintenance
-cadence, and step budget a KB deserves depends on where it sits.  This
-module turns that observation into machinery:
+cadence, and step budget a KB deserves depends on where its ruleset
+sits.  This module turns that observation into machinery:
 
 * :class:`Verdict` — the structured outcome of analyzing one ruleset:
   every syntactic class the library detects (weakly acyclic, rule
-  acyclic, guarded, frontier guarded, sticky, linear), the linear-
-  fragment termination decision (:mod:`.linearity`), the breadth-level
-  k-boundedness probe (:mod:`.kbound`) and the budgeted fes certificate
-  (:func:`.classes.fes_certificate`).
+  acyclic, guarded, frontier guarded, sticky, linear) and the linear-
+  fragment termination decision (:mod:`.linearity`).  It reads the
+  rules alone, never the facts.
 
 * :class:`Strategy` — a named execution recipe: chase variant, core
   cadence, step budget, model-finder budget, ancestor-resume safety.
@@ -22,13 +21,9 @@ module turns that observation into machinery:
   the snapshot catalog (any object with ``load_verdict``/
   ``save_verdict``) so warm shards skip re-analysis across processes.
 
-Soundness note: the probes (k-boundedness, fes) run on the *instance*
-while the cache key is the *ruleset* fingerprint, so a cached verdict
-may describe a sibling KB's facts.  That is deliberate — the verdict
-only routes; every strategy still carries the budgets under which a
-wrong route degrades to "undecided within budget" (`ok=True,
-entailed=None`), never to a wrong answer.  Answers always come from the
-chase/model-finder race itself.
+Soundness note: a poor route ends "undecided within budget"
+(``ok=True, entailed=None``), never wrong — answers always come from
+the chase/model-finder race itself.
 """
 
 from __future__ import annotations
@@ -39,14 +34,11 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, get_type_hints
 
 from ..chase.engine import ChaseVariant
-from ..logic.kb import KnowledgeBase
 from ..logic.rules import RuleSet
 from ..logic.serialization import dump_ruleset
 from ..obs import observer as _observer_state
 from ..obs.spans import span as _span
-from .classes import fes_certificate
 from .guardedness import is_frontier_guarded, is_guarded
-from .kbound import probe_k_bound
 from .linearity import is_linear, linear_chase_terminates
 from .rule_dependencies import is_rule_acyclic
 from .sticky import is_sticky
@@ -75,12 +67,7 @@ def ruleset_fingerprint(rules: RuleSet) -> str:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Everything the analyzers concluded about one ruleset (+instance).
-
-    Syntactic fields describe the *ruleset* (cache-stable); ``k_bound``
-    and ``fes_applications`` were probed on the instance the verdict was
-    first computed for and are advisory under the ruleset cache key.
-    """
+    """Everything the analyzers concluded about one ruleset."""
 
     rules_fingerprint: str
     rule_count: int
@@ -94,15 +81,6 @@ class Verdict:
     #: instances, False = oblivious chase diverges, None = undecided
     #: (not linear, or shape budget exhausted).
     linear_terminating: Optional[bool] = None
-    #: Breadth level at which the oblivious chase of the probed instance
-    #: saturated, or None.
-    k_bound: Optional[int] = None
-    #: Core-chase applications of the probed instance's fes certificate,
-    #: or None.
-    fes_applications: Optional[int] = None
-    #: Chase applications the fes certification actually consumed
-    #: (equals fes_applications on success, the spent budget on failure).
-    fes_budget_consumed: int = 0
 
     @property
     def terminating(self) -> bool:
@@ -129,7 +107,7 @@ class Verdict:
 
     @property
     def decidable(self) -> bool:
-        return self.terminating or self.bts_class or self.fes_applications is not None
+        return self.terminating or self.bts_class
 
     def to_obj(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -144,8 +122,6 @@ class Verdict:
 #: counter suffixes: ``planner.strategy.<name>``).
 STRATEGY_NAMES = (
     "terminating-fast",
-    "bounded-probe",
-    "fes-core",
     "bts-core",
     "frontier-race",
     "rewrite-first",
@@ -202,18 +178,11 @@ def plan(verdict: Verdict) -> Strategy:
        → restricted chase, no core maintenance mid-run, generous steps,
        model finder off: the restricted chase reaches a finite universal
        model by itself.
-    2. Breadth probe saturated at level k → restricted with a budget
-       scaled to the probe; a small model-finder budget backstops the
-       instance-specific verdict under the ruleset-keyed cache.
-    3. fes-certified (core chase of the probed instance terminated) →
-       core variant with a relaxed cadence and a budget scaled to the
-       certificate.  fes guarantees the *core* chase terminates; the
-       restricted chase may not (the paper's staircase), hence core.
-    4. bts-class but not terminating (guarded/linear/sticky with an
+    2. bts-class but not terminating (guarded/linear/sticky with an
        infinite chase) → core chase with relaxed cadence under a
        moderate budget, racing a real model-finder budget: the
        countermodel side is what can answer "no" here.
-    5. Unknown territory → the frontier race: restricted chase under a
+    3. Unknown territory → the frontier race: restricted chase under a
        tight budget against the model finder, ancestor resume on.
 
     On top of the ladder: when the verdict is *rewritable* (linear or
@@ -252,27 +221,6 @@ def _chase_ladder(verdict: Verdict) -> Strategy:
             model_budget=0,
             reason=f"all-variant termination certified by {cause}",
         )
-    if verdict.k_bound is not None:
-        return Strategy(
-            name="bounded-probe",
-            variant=ChaseVariant.RESTRICTED,
-            core_every=1,
-            max_steps=400,
-            model_budget=4,
-            reason=f"breadth probe saturated at level {verdict.k_bound}",
-        )
-    if verdict.fes_applications is not None:
-        return Strategy(
-            name="fes-core",
-            variant=ChaseVariant.CORE,
-            core_every=4,
-            max_steps=max(200, 2 * verdict.fes_applications),
-            model_budget=4,
-            reason=(
-                f"fes-certified: core chase terminated in "
-                f"{verdict.fes_applications} applications"
-            ),
-        )
     if verdict.bts_class:
         return Strategy(
             name="bts-core",
@@ -297,34 +245,21 @@ def _chase_ladder(verdict: Verdict) -> Strategy:
 class Planner:
     """Compute, cache, and apply verdicts.
 
-    ``decide(kb, store=...)`` is the single entry point the service
+    ``decide(rules, store=...)`` is the single entry point the service
     uses: it returns ``(verdict, strategy, source)`` where *source* is
     ``"memory"``, ``"store"``, or ``"computed"``, and emits the
     ``planner_decision`` observability event.
     """
 
-    def __init__(
-        self,
-        cache_size: int = 128,
-        fes_budget: int = 60,
-        k_max: int = 6,
-        k_atom_budget: int = 1500,
-    ):
-        # fes_budget stays small by design: a core-chase probe on a KB
-        # whose core grows (the manager/elevator family) costs
-        # super-linearly per step, and a miss is amortized over every
-        # job that shares the ruleset fingerprint anyway.
+    def __init__(self, cache_size: int = 128):
         self.cache_size = cache_size
-        self.fes_budget = fes_budget
-        self.k_max = k_max
-        self.k_atom_budget = k_atom_budget
         self._cache: OrderedDict[str, Verdict] = OrderedDict()
 
     # ------------------------------------------------------------------
 
-    def analyze(self, kb: KnowledgeBase, store=None) -> tuple[Verdict, str]:
+    def analyze(self, rules: RuleSet, store=None) -> tuple[Verdict, str]:
         """The cached analysis: memory LRU → snapshot catalog → compute."""
-        fingerprint = ruleset_fingerprint(kb.rules)
+        fingerprint = ruleset_fingerprint(rules)
         cached = self._cache.get(fingerprint)
         if cached is not None:
             self._cache.move_to_end(fingerprint)
@@ -332,58 +267,40 @@ class Planner:
         if store is not None:
             persisted = store.load_verdict(fingerprint)
             if persisted is not None:
-                verdict = Verdict.from_obj(persisted)
-                self._remember(fingerprint, verdict)
-                return verdict, "store"
+                try:
+                    verdict = Verdict.from_obj(persisted)
+                except TypeError:
+                    pass  # not a verdict: a miss, overwritten below
+                else:
+                    self._remember(fingerprint, verdict)
+                    return verdict, "store"
         with _span("analysis", rules_fingerprint=fingerprint[:16]):
-            verdict = self.compute(kb, fingerprint)
+            verdict = self.compute(rules, fingerprint)
         self._remember(fingerprint, verdict)
         if store is not None:
             store.save_verdict(fingerprint, verdict.to_obj())
         return verdict, "computed"
 
-    def compute(self, kb: KnowledgeBase, fingerprint: Optional[str] = None) -> Verdict:
-        """Uncached analysis, cheapest criteria first; the instance
-        probes only run when no syntactic certificate settled
-        termination already."""
-        rules = kb.rules
+    def compute(self, rules: RuleSet, fingerprint: Optional[str] = None) -> Verdict:
+        """Uncached analysis of *rules*."""
         if fingerprint is None:
             fingerprint = ruleset_fingerprint(rules)
-        weakly_acyclic = is_weakly_acyclic(rules)
-        rule_acyclic = is_rule_acyclic(rules)
         linear = is_linear(rules)
-        linear_terminating = linear_chase_terminates(rules) if linear else None
-        k_bound = None
-        fes_applications = None
-        fes_consumed = 0
-        terminating = weakly_acyclic or rule_acyclic or linear_terminating is True
-        if not terminating:
-            probe = probe_k_bound(
-                kb, k_max=self.k_max, atom_budget=self.k_atom_budget
-            )
-            k_bound = probe.fixpoint_level
-            if k_bound is None and len(kb.facts):
-                fes_applications, fes_consumed = fes_certificate(
-                    kb, max_steps=self.fes_budget
-                )
         return Verdict(
             rules_fingerprint=fingerprint,
             rule_count=len(rules),
-            weakly_acyclic=weakly_acyclic,
-            rule_acyclic=rule_acyclic,
+            weakly_acyclic=is_weakly_acyclic(rules),
+            rule_acyclic=is_rule_acyclic(rules),
             guarded=is_guarded(rules),
             frontier_guarded=is_frontier_guarded(rules),
             sticky=is_sticky(rules),
             linear=linear,
-            linear_terminating=linear_terminating,
-            k_bound=k_bound,
-            fes_applications=fes_applications,
-            fes_budget_consumed=fes_consumed,
+            linear_terminating=linear_chase_terminates(rules) if linear else None,
         )
 
-    def decide(self, kb: KnowledgeBase, store=None) -> tuple[Verdict, Strategy, str]:
+    def decide(self, rules: RuleSet, store=None) -> tuple[Verdict, Strategy, str]:
         """Analyze (cached) and plan; emits ``planner_decision``."""
-        verdict, source = self.analyze(kb, store=store)
+        verdict, source = self.analyze(rules, store=store)
         strategy = plan(verdict)
         observer = _observer_state.current
         if observer is not None:
@@ -394,7 +311,6 @@ class Planner:
                 cached=source,
                 terminating=verdict.terminating,
                 bts=verdict.bts_class,
-                k_bound=verdict.k_bound,
             )
         return verdict, strategy, source
 

@@ -13,10 +13,11 @@ bases (see :mod:`repro.logic.serialization` for the file format):
     UCQ-rewriting fast path on linear/guarded rulesets (``--no-rewrite``
     skips it).
 ``analyze``
-    The full analyzer: every syntactic criterion, the linear-fragment
-    termination decision, the breadth-level k-boundedness probe, the
-    budgeted fes certificate, and the execution strategy the planner
-    derives from the verdict (``--json`` for the machine shape).
+    The full ruleset analyzer: every syntactic criterion, the
+    linear-fragment termination decision, and the execution strategy
+    the planner derives from the verdict (``--json`` for the machine
+    shape).  It reads the rules alone; ``chase --variant core`` shows
+    whether one instance's core chase terminates.
 ``treewidth``
     Treewidth of an instance file (exact, with bounds fallback).
 ``stats``
@@ -161,22 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="full ruleset analysis: classes, termination/boundedness "
-        "probes, and the planner's strategy",
+        help="ruleset analysis: classes, the linear termination decision, "
+        "and the planner's strategy (the facts are not read)",
     )
     analyze.add_argument("kb", help="knowledge base file")
-    analyze.add_argument(
-        "--steps",
-        type=int,
-        default=200,
-        help="core-chase budget for the fes certificate (default 200)",
-    )
-    analyze.add_argument(
-        "--k-max",
-        type=int,
-        default=6,
-        help="breadth levels the k-boundedness probe explores (default 6)",
-    )
     analyze.add_argument(
         "--json",
         action="store_true",
@@ -477,8 +466,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis.planner import Planner, plan
 
     kb = load_kb_file(args.kb)
-    planner = Planner(fes_budget=args.steps, k_max=args.k_max)
-    verdict = planner.compute(kb)
+    verdict = Planner().compute(kb.rules)
     strategy = plan(verdict)
     if args.json:
         print(
@@ -511,21 +499,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         linear_line = "diverges (oblivious chase, critical instance)"
     print(f"linear termination: {linear_line}")
-    if verdict.k_bound is not None:
-        print(f"k-bounded (this instance): yes, breadth level {verdict.k_bound}")
-    else:
-        print("k-bounded (this instance): not within probe budget")
-    if verdict.fes_applications is not None:
-        print(
-            "fes (this instance): yes, core chase terminated in "
-            f"{verdict.fes_applications} "
-            f"(consumed {verdict.fes_budget_consumed})"
-        )
-    else:
-        print(
-            f"fes (this instance): unknown within {args.steps} steps "
-            f"(consumed {verdict.fes_budget_consumed})"
-        )
     print(f"terminating (all variants): {verdict.terminating}")
     print(f"bts class: {verdict.bts_class}")
     print(f"decidable CQ entailment certified: {verdict.decidable}")

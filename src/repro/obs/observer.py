@@ -289,8 +289,7 @@ EVENTS: dict[str, Event] = {
     "service_pool_rebuild": Event(("pending",)),
     "planner_decision": Event(
         ("strategy", "cached"),
-        {"rules_fingerprint": "", "terminating": False, "bts": False,
-         "k_bound": None},
+        {"rules_fingerprint": "", "terminating": False, "bts": False},
         update=_planner_decision,
     ),
     "query_rewrite": Event(

@@ -362,7 +362,7 @@ def _resolve_strategy(
     if request.strategy is not None:
         reported = Strategy.from_obj(request.strategy)
     elif request.planner:
-        _, reported, _ = default_planner().decide(kb, store=store)
+        _, reported, _ = default_planner().decide(kb.rules, store=store)
     if reported is not None:
         strategy = reported
     else:

@@ -426,8 +426,9 @@ class SnapshotStore:
       exact even on filesystems with coarse mtimes.  Each eviction
       deletes the catalog row and then any chain records no surviving
       entry reaches (chains may share suffixes, so eviction works at
-      record granularity without orphaning members); it is reported via
-      the ``snapshot_access`` telemetry event (``op="evict"``, the
+      record granularity without orphaning members) and the verdict and
+      query-plan rows of rulesets no surviving entry has; it is reported
+      via the ``snapshot_access`` telemetry event (``op="evict"``, the
       ``snapshot.evicted`` metric).  The just-written snapshot is never
       evicted, even when it alone exceeds *max_bytes* — such saves are
       counted in :attr:`eviction_shortfalls` instead.
@@ -712,8 +713,15 @@ class SnapshotStore:
 
     @staticmethod
     def _gc_unreachable(conn: sqlite3.Connection) -> set:
-        """Delete record rows no snapshot chain reaches; returns their
+        """Delete record rows no snapshot chain reaches, and verdict and
+        plan rows of rulesets no snapshot has left; returns the record
         hashes.  Must run inside an open transaction."""
+        for table in ("verdicts", "query_plans"):
+            conn.execute(
+                f"DELETE FROM {table} WHERE rules_fingerprint NOT IN "
+                "(SELECT rules_fingerprint FROM snapshots "
+                "WHERE rules_fingerprint IS NOT NULL)"
+            )
         parent_of = dict(
             conn.execute("SELECT hash, parent FROM records").fetchall()
         )
@@ -993,9 +1001,9 @@ class SnapshotStore:
 
     def load_verdict(self, rules_fp: str) -> Optional[dict]:
         """The persisted analysis verdict for a ruleset fingerprint, or
-        None.  Verdicts are pure functions of the rules (plus advisory
-        instance probes), so the catalog shares them across workers and
-        restarts; an unparseable row is treated as a miss."""
+        None.  Verdicts are pure functions of the rules, so the catalog
+        shares them across workers and restarts; an unparseable row is
+        treated as a miss."""
         with self._db() as conn:
             row = conn.execute(
                 "SELECT verdict FROM verdicts WHERE rules_fingerprint = ?",

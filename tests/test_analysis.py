@@ -164,11 +164,11 @@ class TestMeasuresAndProfiles:
 
 class TestRulesetVerdict:
     """The planner's :class:`~repro.analysis.planner.Verdict` is the one
-    ruleset report; small probe budgets keep these cheap."""
+    ruleset report."""
 
     @staticmethod
     def report(kb):
-        return Planner(fes_budget=30, k_max=3, k_atom_budget=300).compute(kb)
+        return Planner().compute(kb.rules)
 
     def test_academia_report(self):
         from repro.kbs.ontology import academia_kb
@@ -176,7 +176,6 @@ class TestRulesetVerdict:
         report = self.report(academia_kb())
         assert report.guarded and report.frontier_guarded
         assert not report.weakly_acyclic
-        assert report.fes_applications is None
         assert report.decidable  # via guardedness
 
     def test_terminating_report(self):
@@ -184,9 +183,6 @@ class TestRulesetVerdict:
         assert report.rule_acyclic is False  # recursive datalog
         assert report.weakly_acyclic
         assert report.terminating
-        # Termination is certified syntactically, so the instance
-        # probes are skipped: they could add nothing.
-        assert report.k_bound is None and report.fes_applications is None
 
     def test_staircase_escapes_all_syntactic_criteria(self):
         report = self.report(staircase_kb())

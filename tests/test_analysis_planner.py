@@ -1,7 +1,9 @@
 """Tests for the analysis planner subsystem: the linear-fragment
-termination decider, the breadth-level k-boundedness probe, the
-consumed-budget fes certificate, and the verdict → strategy planner
-(cache tiers, observability events, and the service integration)."""
+termination decider and the verdict → strategy planner (cache tiers,
+observability events, routing from the rules alone, and the service
+integration)."""
+
+import time
 
 import pytest
 
@@ -10,14 +12,14 @@ from repro.analysis import (
     Planner,
     Strategy,
     Verdict,
-    fes_certificate,
+    default_planner,
     is_linear,
     linear_chase_terminates,
     plan,
-    probe_k_bound,
     ruleset_fingerprint,
 )
 from repro.chase.engine import ChaseVariant
+from repro.kbs.generators import random_kb
 from repro.kbs.witnesses import manager_kb, transitive_closure_kb
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atoms, parse_rule
@@ -78,53 +80,6 @@ class TestLinearTermination:
 
 
 # ---------------------------------------------------------------------------
-# breadth-level k-boundedness probe
-# ---------------------------------------------------------------------------
-
-
-class TestKBoundProbe:
-    def test_terminating_kb_saturates(self):
-        probe = probe_k_bound(transitive_closure_kb(3), k_max=8)
-        assert probe.bounded
-        assert probe.fixpoint_level is not None
-        assert probe.applications > 0
-
-    def test_diverging_kb_never_saturates(self):
-        probe = probe_k_bound(manager_kb(), k_max=3, atom_budget=200)
-        assert not probe.bounded
-        assert probe.fixpoint_level is None
-
-    def test_monotone_in_k_max(self):
-        small = probe_k_bound(transitive_closure_kb(3), k_max=8)
-        large = probe_k_bound(transitive_closure_kb(3), k_max=16)
-        assert small.fixpoint_level == large.fixpoint_level
-
-    def test_atom_budget_reports_exhaustion(self):
-        probe = probe_k_bound(manager_kb(), k_max=10, atom_budget=5)
-        assert probe.exhausted
-        assert probe.fixpoint_level is None
-
-
-# ---------------------------------------------------------------------------
-# fes certificate reports consumed budget
-# ---------------------------------------------------------------------------
-
-
-class TestFesCertificate:
-    def test_success_consumed_equals_certificate(self):
-        certificate, consumed = fes_certificate(
-            transitive_closure_kb(3), max_steps=100
-        )
-        assert certificate is not None
-        assert consumed == certificate
-
-    def test_failure_reports_spent_budget_not_cap(self):
-        certificate, consumed = fes_certificate(manager_kb(), max_steps=7)
-        assert certificate is None
-        assert 0 < consumed <= 7
-
-
-# ---------------------------------------------------------------------------
 # Verdict / Strategy plumbing
 # ---------------------------------------------------------------------------
 
@@ -146,7 +101,7 @@ def make_verdict(**overrides):
 
 class TestVerdictStrategy:
     def test_verdict_round_trip(self):
-        verdict = make_verdict(weakly_acyclic=True, k_bound=2)
+        verdict = make_verdict(linear=True, linear_terminating=False)
         assert Verdict.from_obj(verdict.to_obj()) == verdict
 
     def test_strategy_round_trip(self):
@@ -171,8 +126,6 @@ class TestVerdictStrategy:
 
     def test_plan_ladder(self):
         assert plan(make_verdict(weakly_acyclic=True)).name == "terminating-fast"
-        assert plan(make_verdict(k_bound=3)).name == "bounded-probe"
-        assert plan(make_verdict(fes_applications=9)).name == "fes-core"
         assert plan(make_verdict(sticky=True)).name == "bts-core"
         assert plan(make_verdict()).name == "frontier-race"
 
@@ -192,8 +145,6 @@ class TestVerdictStrategy:
     def test_plan_names_are_closed(self):
         for verdict in (
             make_verdict(weakly_acyclic=True),
-            make_verdict(k_bound=1),
-            make_verdict(fes_applications=1),
             make_verdict(sticky=True),
             make_verdict(),
         ):
@@ -203,11 +154,6 @@ class TestVerdictStrategy:
         strategy = plan(make_verdict(rule_acyclic=True))
         assert strategy.model_budget == 0
         assert strategy.variant == ChaseVariant.RESTRICTED
-
-    def test_fes_core_scales_budget_to_certificate(self):
-        strategy = plan(make_verdict(fes_applications=300))
-        assert strategy.variant == ChaseVariant.CORE
-        assert strategy.max_steps == 600
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +165,34 @@ class TestPlannerCache:
     def test_memory_tier(self):
         planner = Planner()
         kb = transitive_closure_kb(3)
-        first, source1 = planner.analyze(kb)
-        second, source2 = planner.analyze(kb)
+        first, source1 = planner.analyze(kb.rules)
+        second, source2 = planner.analyze(kb.rules)
         assert (source1, source2) == ("computed", "memory")
         assert first == second
 
     def test_store_tier_shares_across_planners(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
         kb = transitive_closure_kb(3)
-        verdict, source = Planner().analyze(kb, store=store)
+        verdict, source = Planner().analyze(kb.rules, store=store)
         assert source == "computed"
-        revived, source2 = Planner().analyze(kb, store=store)
+        revived, source2 = Planner().analyze(kb.rules, store=store)
         assert source2 == "store"
         assert revived == verdict
 
     def test_cache_clear_recomputes(self):
         planner = Planner()
         kb = transitive_closure_kb(3)
-        planner.analyze(kb)
+        planner.analyze(kb.rules)
         planner.cache_clear()
-        assert planner.analyze(kb)[1] == "computed"
+        assert planner.analyze(kb.rules)[1] == "computed"
 
     def test_lru_eviction(self):
         planner = Planner(cache_size=1)
         first = transitive_closure_kb(3)
         second = manager_kb()
-        planner.analyze(first)
-        planner.analyze(second)  # evicts first
-        assert planner.analyze(first)[1] == "computed"
+        planner.analyze(first.rules)
+        planner.analyze(second.rules)  # evicts first
+        assert planner.analyze(first.rules)[1] == "computed"
 
     def test_fingerprint_matches_snapshot_catalog(self, tmp_path):
         import sqlite3
@@ -269,8 +215,8 @@ class TestPlannerCache:
         planner = Planner()
         kb = transitive_closure_kb(3)
         with observing(MetricsObserver(registry)):
-            _, strategy, _ = planner.decide(kb)
-            planner.decide(kb)
+            _, strategy, _ = planner.decide(kb.rules)
+            planner.decide(kb.rules)
         snapshot = registry.snapshot()
         assert snapshot["planner.verdicts"]["value"] == 1
         assert snapshot["planner.cache_hits"]["value"] == 1
@@ -284,11 +230,11 @@ class TestPlannerCache:
 
 class TestRouting:
     def test_transitive_closure_routes_terminating(self):
-        _, strategy, _ = Planner().decide(transitive_closure_kb(3))
+        _, strategy, _ = Planner().decide(transitive_closure_kb(3).rules)
         assert strategy.name == "terminating-fast"
 
     def test_manager_routes_rewrite_first(self):
-        verdict, strategy, _ = Planner().decide(manager_kb())
+        verdict, strategy, _ = Planner().decide(manager_kb().rules)
         assert verdict.rewritable
         assert strategy.name == "rewrite-first"
         assert strategy.rewrite
@@ -300,11 +246,30 @@ class TestRouting:
         kb = kb_of(
             "e(a, b), e(b, c)", "e(X, Y), e(Y, Z) -> e(X, Z), e(Z, W)"
         )
-        verdict, strategy, _ = Planner(
-            fes_budget=5, k_max=2, k_atom_budget=50
-        ).decide(kb)
+        verdict, strategy, _ = Planner().decide(kb.rules)
         assert not verdict.decidable
         assert strategy.name == "frontier-race"
+
+    def test_route_ignores_arrival_order(self):
+        # One rule, two KBs: the first saturates at once, the second
+        # chases for ever.  The second must route the same whether the
+        # planner saw the first or not.
+        rule = "r(X, Y), r(Y, W) -> r(W, Z)"
+        saturated = kb_of("r(a, b)", rule)
+        diverging = kb_of("r(a, b), r(b, c)", rule)
+
+        def route(kb, query):
+            request = JobRequest(
+                op="entail", kb_text=dump_kb(kb), query=query, planner=True
+            )
+            return execute_job(request).strategy
+
+        default_planner().cache_clear()
+        route(saturated, "r(a, b)")
+        after_saturated = route(diverging, "r(c, X)")
+        default_planner().cache_clear()
+        fresh = route(diverging, "r(c, X)")
+        assert after_saturated == fresh == "bts-core"
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +292,38 @@ class TestServiceIntegration:
         assert result.ok
         assert result.entailed is True
         assert result.strategy == "terminating-fast"
+
+    def test_routing_runs_inside_the_deadline(self):
+        # Rules of one random KB with the facts of another: routing
+        # reads no facts, so the job's deadline bounds all of its work.
+        rules = random_kb(rule_count=2, fact_count=4, seed=81).rules
+        facts = random_kb(rule_count=2, fact_count=4, seed=88).facts
+        default_planner().cache_clear()
+        started = time.perf_counter()
+        result = execute_job(
+            self.entail_request(
+                KnowledgeBase(facts, rules), "e(X, X)", planner=True, timeout=1.0
+            )
+        )
+        assert time.perf_counter() - started < 10
+        assert result.ok
+        assert result.method == "deadline-expired"
+
+    @pytest.mark.parametrize("partial", [True, False], ids=["partial", "bogus"])
+    def test_catalog_row_that_is_not_a_verdict_is_a_miss(self, tmp_path, partial):
+        store = SnapshotStore(tmp_path / "snaps")
+        kb = transitive_closure_kb(3)
+        fingerprint = ruleset_fingerprint(kb.rules)
+        row = {"rules_fingerprint": fingerprint} if partial else {"bogus": 1}
+        store.save_verdict(fingerprint, row)
+        default_planner().cache_clear()
+        result = execute_job(
+            self.entail_request(kb, "e(v0, v3)", planner=True), store=store
+        )
+        assert result.ok and result.entailed is True
+        # The recompute overwrote the row with a real verdict.
+        revived = Verdict.from_obj(store.load_verdict(fingerprint))
+        assert revived == Planner().compute(kb.rules)
 
     def test_planner_answers_match_plain_config(self, tmp_path):
         kb = transitive_closure_kb(3)

@@ -140,14 +140,13 @@ class TestAnalyzeCommand:
         for needle in (
             "weakly acyclic",
             "linear termination",
-            "k-bounded",
             "strategy: terminating-fast",
             "reason:",
         ):
             assert needle in out
 
     def test_bts_ruleset_routes_rewrite_first(self, manager_file, capsys):
-        code = main(["analyze", manager_file, "--steps", "10", "--k-max", "3"])
+        code = main(["analyze", manager_file])
         out = capsys.readouterr().out
         assert code == 0
         # Linear+guarded non-terminating ruleset: rewriting first, the
