@@ -11,9 +11,12 @@ maintenance built on two invariants of chase derivations:
    ``Δ``-atom — found by pinning each body atom onto each compatible
    ``Δ``-atom, re-matching only the rules whose body predicates meet
    ``Δ``'s.  Satisfaction is monotone under growth, so a satisfied
-   trigger stays satisfied; an unsatisfied one needs a recheck only if
-   the new atoms could host the head image, i.e. only if the rule's
-   *head* predicates meet ``Δ``'s.
+   trigger stays satisfied; an old unsatisfied one needs a recheck only
+   if some ``Δ``-atom *hosts* one of its head atoms — has the head
+   atom's predicate and agrees with it at every position that the
+   trigger's frontier image or a constant fixes.  The test is exact: a
+   head witness in ``F ∪ Δ`` that is none in ``F`` sends some head atom
+   onto a ``Δ``-atom, and that atom agrees with the frontier image.
 2. **Retraction** (``F → σ(F)`` with ``σ`` a retraction of ``F``, i.e.
    an *idempotent* endomorphism): the triggers of ``σ(F)`` are exactly
    the transports ``σ ∘ π`` of the triggers of ``F`` (Section 3's
@@ -28,9 +31,12 @@ maintenance built on two invariants of chase derivations:
    into ``σ(F)`` (idempotence).  Keeping the union of the old satisfied
    marks across key collapses is therefore both sound and complete.
 
-Together these make the live pool — and the satisfied subset the
-restricted/core variants filter on — maintainable without ever
-re-enumerating a rule whose neighbourhood did not change.
+Together these make the live pool — and the unsatisfied subset, the
+active pool of the restricted/core variants — maintainable without ever
+re-enumerating a rule whose neighbourhood did not change.  The
+unsatisfied subset is kept as a map of its own in pool order, so
+reading the active pool and absorbing a growth step cost the active
+triggers, not the whole live pool.
 
 :class:`TriggerIndex` keeps the pool and both maintenance rules; the
 growth-step *discovery* (which triggers touch ``Δ``) is the compiled
@@ -47,6 +53,7 @@ from ..logic.atoms import Atom
 from ..logic.atomset import AtomSet
 from ..logic.rules import ExistentialRule
 from ..logic.substitution import Substitution
+from ..logic.terms import Variable
 from .trigger import Trigger, triggers
 
 __all__ = ["TriggerIndex"]
@@ -72,7 +79,10 @@ class TriggerIndex:
         and core variants; the oblivious variants never ask).
     """
 
-    __slots__ = ("rules", "track_satisfaction", "_live", "_satisfied", "_head_preds")
+    __slots__ = (
+        "rules", "track_satisfaction", "_live", "_satisfied", "_unsatisfied",
+        "_heads",
+    )
 
     def __init__(
         self,
@@ -82,11 +92,12 @@ class TriggerIndex:
     ):
         self.rules = list(rules)
         self.track_satisfaction = track_satisfaction
-        self._head_preds = {
-            rule.name: rule.head.predicates() for rule in self.rules
-        }
+        self._heads = {rule.name: _head_patterns(rule) for rule in self.rules}
         self._live: dict[TriggerKey, Trigger] = {}
         self._satisfied: set[TriggerKey] = set()
+        #: The live triggers not known satisfied, in ``_live`` order
+        #: (kept only when tracking satisfaction).
+        self._unsatisfied: dict[TriggerKey, Trigger] = {}
         self.rebuild(instance)
 
     @staticmethod
@@ -108,13 +119,10 @@ class TriggerIndex:
 
     def unsatisfied_triggers(self) -> list[Trigger]:
         """The live triggers not known satisfied — the active pool of
-        the restricted/frugal/core variants."""
-        satisfied = self._satisfied
-        return [
-            trigger
-            for key, trigger in self._live.items()
-            if key not in satisfied
-        ]
+        the restricted/frugal/core variants — in pool order."""
+        if not self.track_satisfaction:
+            return list(self._live.values())
+        return list(self._unsatisfied.values())
 
     def is_satisfied(self, trigger: Trigger) -> bool:
         """True iff the index has *trigger* marked satisfied."""
@@ -130,12 +138,25 @@ class TriggerIndex:
         """
         self._live.clear()
         self._satisfied.clear()
+        self._unsatisfied.clear()
         for rule in self.rules:
+            # Satisfaction depends on the frontier image alone, which
+            # many triggers of a rule share: one head search per image.
+            satisfied_frontiers: dict = {}
             for trigger in triggers(rule, instance):
                 key = self.key(trigger)
                 self._live[key] = trigger
-                if self.track_satisfaction and trigger.is_satisfied_in(instance):
+                if not self.track_satisfaction:
+                    continue
+                frontier = trigger.frontier_image()
+                satisfied = satisfied_frontiers.get(frontier)
+                if satisfied is None:
+                    satisfied = trigger.is_satisfied_in(instance)
+                    satisfied_frontiers[frontier] = satisfied
+                if satisfied:
                     self._satisfied.add(key)
+                else:
+                    self._unsatisfied[key] = trigger
 
     def apply_delta(
         self,
@@ -149,38 +170,70 @@ class TriggerIndex:
         satisfied now (the one just applied) — marking it saves one
         search.  Returns maintenance statistics for telemetry.
         """
-        before = len(self._live)
-        new_keys: set[TriggerKey] = set()
+        live = self._live
+        before = len(live)
+        fresh: list[tuple[TriggerKey, Trigger]] = []
         for trigger in self._delta_triggers(instance, delta):
             key = self.key(trigger)
-            if key not in self._live:
-                self._live[key] = trigger
-                new_keys.add(key)
+            if key not in live:
+                live[key] = trigger
+                fresh.append((key, trigger))
         rechecks = 0
         if self.track_satisfaction:
+            satisfied = self._satisfied
+            unsatisfied = self._unsatisfied
             if satisfied_hint is not None:
-                self._satisfied.add(self.key(satisfied_hint))
-            delta_preds = {at.predicate for at in delta}
-            for key, trigger in self._live.items():
-                if key in self._satisfied:
-                    continue
-                fresh = key in new_keys
-                if not fresh and not (
-                    self._head_preds[key[0]] & delta_preds
-                ):
-                    # Satisfaction is monotone: an old unsatisfied
-                    # trigger can only have flipped if the delta can
-                    # host part of its head image.
+                key = self.key(satisfied_hint)
+                satisfied.add(key)
+                unsatisfied.pop(key, None)
+            hosts: dict = {}
+            for at in delta:
+                hosts.setdefault(at.predicate, []).append(at.args)
+            # Satisfaction is monotone: an old unsatisfied trigger can
+            # only have flipped if a delta atom hosts one of its head
+            # atoms (see the module docstring).
+            flipped = []
+            for key, trigger in unsatisfied.items():
+                if self._hosted(trigger, hosts):
+                    rechecks += 1
+                    if trigger.is_satisfied_in(instance):
+                        flipped.append(key)
+            for key in flipped:
+                satisfied.add(key)
+                del unsatisfied[key]
+            for key, trigger in fresh:
+                if key in satisfied:
                     continue
                 rechecks += 1
                 if trigger.is_satisfied_in(instance):
-                    self._satisfied.add(key)
+                    satisfied.add(key)
+                else:
+                    unsatisfied[key] = trigger
         return {
             "delta_atoms": len(delta),
-            "triggers_new": len(new_keys),
+            "triggers_new": len(fresh),
             "triggers_reused": before,
             "satisfaction_rechecks": rechecks,
         }
+
+    def _hosted(self, trigger: Trigger, hosts: dict) -> bool:
+        """True iff some delta atom (*hosts*: predicate → argument
+        tuples) hosts a head atom of *trigger*'s rule: it agrees with
+        the head atom wherever the frontier image or a constant fixes a
+        position."""
+        mapping = trigger.mapping
+        for predicate, fixed in self._heads[trigger.rule.name]:
+            candidates = hosts.get(predicate)
+            if candidates is None:
+                continue
+            wanted = [
+                (position, mapping[term] if bound else term)
+                for position, term, bound in fixed
+            ]
+            for args in candidates:
+                if all(args[position] == term for position, term in wanted):
+                    return True
+        return False
 
     def _delta_triggers(
         self, instance: AtomSet, delta: list[Atom]
@@ -209,7 +262,34 @@ class TriggerIndex:
                 self._live[moved_key] = moved
             if key in old_satisfied:
                 self._satisfied.add(moved_key)
+        if self.track_satisfaction:
+            # Collapsing keys union their marks, so the unsatisfied map
+            # is refilled once the marks are final.
+            self._unsatisfied = {
+                key: trigger
+                for key, trigger in self._live.items()
+                if key not in self._satisfied
+            }
         return {
             "transported": len(old_live),
             "collapsed": len(old_live) - len(self._live),
         }
+
+
+def _head_patterns(rule: ExistentialRule) -> list:
+    """Per head atom of *rule*: its predicate and the positions a
+    trigger fixes, as ``(position, term, bound)`` — *bound* when the
+    term is a frontier variable (fixed by the trigger's image), else a
+    constant.  Existential positions fix nothing."""
+    frontier = rule.frontier
+    return [
+        (
+            at.predicate,
+            tuple(
+                (position, term, term in frontier)
+                for position, term in enumerate(at.args)
+                if term in frontier or not isinstance(term, Variable)
+            ),
+        )
+        for at in rule.head.sorted_atoms()
+    ]

@@ -834,7 +834,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
         "top": _cmd_top,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``): point
+        # stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit quietly (the recipe in the ``signal``
+        # module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -190,14 +190,25 @@ def _trigger_key_to_obj(key) -> list:
     return [rule_name, [[var.name, term_to_obj(term)] for var, term in image]]
 
 
-def _trigger_key_from_obj(obj):
-    from ..logic.terms import Variable
-
+def _trigger_key_from_obj(obj, terms: dict):
+    """Parse a trigger key.  *terms* memoizes the decoded terms across
+    one record's keys, which repeat a few rule variables and instance
+    terms many times over."""
     rule_name, image = obj
     return (
         rule_name,
-        tuple((Variable(name), term_from_obj(term)) for name, term in image),
+        tuple(
+            (_memo_term(terms, "v", name), _memo_term(terms, *term))
+            for name, term in image
+        ),
     )
+
+
+def _memo_term(terms: dict, tag: str, name: str):
+    term = terms.get((tag, name))
+    if term is None:
+        term = terms[(tag, name)] = term_from_obj((tag, name))
+    return term
 
 
 def chase_state_to_obj(state: ChaseState) -> dict:
@@ -228,6 +239,7 @@ def chase_state_to_obj(state: ChaseState) -> dict:
 
 def chase_state_from_obj(obj: dict) -> ChaseState:
     """Parse a state serialized by :func:`chase_state_to_obj`."""
+    terms: dict = {}
     return ChaseState(
         variant=obj["variant"],
         core_every=obj["core_every"],
@@ -235,10 +247,10 @@ def chase_state_from_obj(obj: dict) -> ChaseState:
         fresh_count=obj["fresh_count"],
         instance=instance_from_obj(obj["instance"]),
         applied_keys={
-            _trigger_key_from_obj(item) for item in obj["applied_keys"]
+            _trigger_key_from_obj(item, terms) for item in obj["applied_keys"]
         },
         ages={
-            _trigger_key_from_obj(key): age for key, age in obj["ages"]
+            _trigger_key_from_obj(key, terms): age for key, age in obj["ages"]
         },
         terminated=obj["terminated"],
         applications=obj["applications"],
@@ -280,6 +292,7 @@ def state_delta_to_obj(delta: ChaseStateDelta) -> dict:
 
 def state_delta_from_obj(obj: dict) -> ChaseStateDelta:
     """Parse a delta serialized by :func:`state_delta_to_obj`."""
+    terms: dict = {}
     return ChaseStateDelta(
         fresh_count=obj["fresh_count"],
         terminated=obj["terminated"],
@@ -288,17 +301,17 @@ def state_delta_from_obj(obj: dict) -> ChaseStateDelta:
         added_atoms=[atom_from_obj(item) for item in obj["added_atoms"]],
         removed_atoms=[atom_from_obj(item) for item in obj["removed_atoms"]],
         added_applied_keys=[
-            _trigger_key_from_obj(item) for item in obj["added_applied_keys"]
+            _trigger_key_from_obj(item, terms) for item in obj["added_applied_keys"]
         ],
         removed_applied_keys=[
-            _trigger_key_from_obj(item)
+            _trigger_key_from_obj(item, terms)
             for item in obj["removed_applied_keys"]
         ],
         ages_set=[
-            (_trigger_key_from_obj(key), age) for key, age in obj["ages_set"]
+            (_trigger_key_from_obj(key, terms), age) for key, age in obj["ages_set"]
         ],
         ages_removed=[
-            _trigger_key_from_obj(item) for item in obj["ages_removed"]
+            _trigger_key_from_obj(item, terms) for item in obj["ages_removed"]
         ],
         delta_since_core=[
             atom_from_obj(item) for item in obj["delta_since_core"]
@@ -354,6 +367,12 @@ CREATE TABLE IF NOT EXISTS snapshots (
 );
 CREATE INDEX IF NOT EXISTS snapshots_ancestry
     ON snapshots (rules_fingerprint, variant, core_every, fact_count);
+CREATE TABLE IF NOT EXISTS snapshot_facts (
+    line_hash TEXT NOT NULL,
+    key TEXT NOT NULL,
+    PRIMARY KEY (line_hash, key)
+) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS snapshot_facts_by_key ON snapshot_facts (key);
 CREATE TABLE IF NOT EXISTS verdicts (
     rules_fingerprint TEXT PRIMARY KEY,
     verdict TEXT NOT NULL,
@@ -706,10 +725,17 @@ class SnapshotStore:
         blob files are unlinked after the commit."""
         with self._db() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            conn.execute("DELETE FROM snapshots WHERE key = ?", (key,))
+            self._delete_row(conn, key)
             dead = self._gc_unreachable(conn)
             conn.execute("COMMIT")
         self._unlink_blobs(dead)
+
+    @staticmethod
+    def _delete_row(conn: sqlite3.Connection, key: str) -> None:
+        """Delete *key*'s catalog row and its fact rows.  Must run inside
+        an open transaction."""
+        conn.execute("DELETE FROM snapshots WHERE key = ?", (key,))
+        conn.execute("DELETE FROM snapshot_facts WHERE key = ?", (key,))
 
     @staticmethod
     def _gc_unreachable(conn: sqlite3.Connection) -> set:
@@ -787,9 +813,7 @@ class SnapshotStore:
                     conn.execute("COMMIT")
                     self.eviction_shortfalls += 1
                     return evicted
-                conn.execute(
-                    "DELETE FROM snapshots WHERE key = ?", (victim[0],)
-                )
+                self._delete_row(conn, victim[0])
                 dead = self._gc_unreachable(conn)
                 conn.execute("COMMIT")
             self._unlink_blobs(dead)
@@ -893,6 +917,12 @@ class SnapshotStore:
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (key, *row_common[:4], record_hash, *row_common[4:7],
                      depth, chain_bytes, *row_common[7:], tick),
+                )
+                # A key fixes the KB, so its facts never change.
+                conn.executemany(
+                    "INSERT OR IGNORE INTO snapshot_facts (line_hash, key) "
+                    "VALUES (?, ?)",
+                    [(line_hash, key) for line_hash in manifest],
                 )
                 conn.execute("COMMIT")
             return self._object_path(record_hash)
@@ -1076,10 +1106,14 @@ class SnapshotStore:
 
         An ancestor is an entry with the **same rules** (by fingerprint)
         and chase configuration whose facts are a *proper subset* of
-        *kb*'s — probed via the facts manifests, so the scan is a
-        catalog query plus set algebra, never a directory walk.
-        Candidates are tried nearest-first (most shared facts, then
-        deepest chase prefix); *max_applications* (the job's step
+        *kb*'s.  The catalog's ``snapshot_facts`` table maps each fact
+        line hash to the entries holding that fact, so one indexed query
+        finds exactly the entries every one of whose facts is among
+        *kb*'s: an entry that shares no fact with *kb* is never read,
+        and no entry is missed however many others its ruleset has.
+        (An entry with no facts is no candidate: its chase is the cold
+        one.)  Candidates are tried nearest-first (most shared facts,
+        then deepest chase prefix); *max_applications* (the job's step
         budget) filters out prefixes too deep to resume under it.
 
         Soundness — the returned state plus ``missing_atoms`` must be a
@@ -1106,16 +1140,23 @@ class SnapshotStore:
         }
         rules_fp = ruleset_fingerprint(kb.rules)
         query = (
-            "SELECT key, head, chain_depth, chain_bytes, facts_manifest "
-            "FROM snapshots WHERE rules_fingerprint = ? AND variant = ? "
-            "AND core_every = ? AND facts_manifest IS NOT NULL "
-            "AND fact_count < ?"
+            "SELECT s.key, s.head, s.chain_depth, s.chain_bytes, "
+            "s.facts_manifest FROM (SELECT key, COUNT(*) AS shared "
+            "FROM snapshot_facts WHERE line_hash IN "
+            "(SELECT value FROM json_each(?)) GROUP BY key) AS m "
+            # CROSS JOIN keeps the shared-fact keys the outer loop.
+            "CROSS JOIN snapshots AS s ON s.key = m.key "
+            "WHERE m.shared = s.fact_count AND s.rules_fingerprint = ? "
+            "AND s.variant = ? AND s.core_every = ? AND s.fact_count < ?"
         )
-        params = [rules_fp, variant, core_every, len(incoming)]
+        params = [
+            json.dumps(list(incoming)), rules_fp, variant, core_every,
+            len(incoming),
+        ]
         if max_applications is not None:
-            query += " AND applications <= ?"
+            query += " AND s.applications <= ?"
             params.append(max_applications)
-        query += " ORDER BY fact_count DESC, applications DESC LIMIT 32"
+        query += " ORDER BY s.fact_count DESC, s.applications DESC"
         with self._db() as conn:
             candidates = conn.execute(query, params).fetchall()
 
@@ -1124,8 +1165,6 @@ class SnapshotStore:
             try:
                 manifest = set(json.loads(manifest_json))
             except ValueError:
-                continue
-            if not manifest <= set(incoming):
                 continue
             missing = [
                 atom

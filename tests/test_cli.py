@@ -1,9 +1,14 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.kbs.generators import grid_instance
 from repro.kbs.witnesses import manager_kb, transitive_closure_kb
@@ -155,6 +160,21 @@ class TestAnalyzeCommand:
         assert "falling back to bts-core" in out
         assert "rewritable: yes" in out
         assert "diverges" in out
+
+    def test_closed_stdout_exits_without_traceback(self, kb_file):
+        # `repro analyze KB --json | head`: the reader is gone before
+        # the report is written.
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "analyze", kb_file, "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert "Traceback" not in stderr.decode()
+        assert "BrokenPipeError" not in stderr.decode()
 
     def test_json_shape(self, kb_file, capsys):
         code = main(["analyze", kb_file, "--json"])

@@ -16,12 +16,13 @@ failure locally).
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chase.engine import ChaseVariant, run_chase
-from repro.chase.trigger import triggers
+from repro.chase.engine import ChaseEngine, ChaseVariant, run_chase
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import random_kb
 from repro.kbs.staircase import staircase_kb
 from repro.logic.isomorphism import isomorphic
+
+from .test_trigger_index import pool_mismatches
 
 MAX_STEPS = 10
 
@@ -74,27 +75,19 @@ def test_indexed_run_matches_naive_on_random_kbs(kb, variant):
 @given(kb=kb_strategy(), variant=st.sampled_from(ChaseVariant.ALL))
 @SETTINGS
 def test_trigger_index_pool_matches_rescan_on_random_kbs(kb, variant):
-    """After a compiled run, the maintained live pool must equal a
-    from-scratch ``triggers()`` rescan of the final instance — the
-    "identical trigger sets" clause."""
-    from repro.chase.engine import ChaseEngine
-
+    """After every step of a compiled run, the maintained live pool must
+    equal a from-scratch ``triggers()`` rescan of the step's instance —
+    the "identical trigger sets" clause — and the active pool must be
+    the live triggers the rescan finds unsatisfied, in pool order."""
     engine = ChaseEngine(kb, variant=variant)
-    result = engine.run(max_steps=MAX_STEPS)
-    index = engine._index
-    rescanned = {
-        (rule.name, trigger.full_image())
-        for rule in kb.rules
-        for trigger in triggers(rule, result.final_instance)
-    }
-    assert set(index._live.keys()) == rescanned
-    if index.track_satisfaction:
-        satisfied = {
-            key
-            for key, trigger in index._live.items()
-            if trigger.is_satisfied_in(result.final_instance)
-        }
-        assert index._satisfied == satisfied
+    mismatches = []
+
+    def on_step(step):
+        for what in pool_mismatches(engine._index, kb.rules, step.instance):
+            mismatches.append((step.index, what))
+
+    engine.run(max_steps=MAX_STEPS, on_step=on_step)
+    assert mismatches == []
 
 
 class TestNamedWorkloads:

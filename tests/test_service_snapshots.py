@@ -315,6 +315,21 @@ class TestStoreHygiene:
             conn.close()
         assert counts == [1, 1, 1]
 
+    def test_evicted_and_dropped_entries_leave_no_fact_rows(self, tmp_path):
+        store = SnapshotStore(tmp_path, max_entries=1)
+        _saved(store, staircase_kb)
+        kb, _ = _saved(store, elevator_kb)
+
+        def fact_rows():
+            with store._db() as conn:
+                return conn.execute(
+                    "SELECT COUNT(*) FROM snapshot_facts"
+                ).fetchone()[0]
+
+        assert fact_rows() == len(kb.facts)  # the staircase's went
+        store._drop_entry(snapshot_key(kb, "restricted", 1))
+        assert fact_rows() == 0
+
     def test_unbounded_store_never_evicts(self, tmp_path):
         store = SnapshotStore(tmp_path)
         kbs = [

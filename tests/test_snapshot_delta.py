@@ -37,6 +37,7 @@ from repro.kbs.witnesses import transitive_closure_kb, weakly_acyclic_kb
 from repro.logic.atoms import Atom
 from repro.logic.isomorphism import isomorphic
 from repro.logic.kb import KnowledgeBase
+from repro.logic.parser import parse_atoms
 from repro.logic.serialization import dump_kb, load_kb
 from repro.logic.terms import Variable
 from repro.obs.metrics import MetricsRegistry
@@ -357,6 +358,49 @@ class TestAncestorResolution:
             "f(s9)",
             "h(s9, s9)",
         ]
+
+    @staticmethod
+    def _tenant_chain(rules, tenant, edges):
+        facts = ", ".join(f"e({tenant}{i}, {tenant}{i + 1})" for i in range(edges))
+        return KnowledgeBase(parse_atoms(facts), rules, name=tenant)
+
+    def test_ancestor_found_past_many_larger_entries(self, tmp_path):
+        # 33 other tenants' entries of the same rules, each with more
+        # facts than the request's ancestor (and fewer than the request),
+        # must not crowd the ancestor out of the candidates.
+        kb = transitive_closure_kb(3)
+        store = SnapshotStore(tmp_path)
+        self._snapshot(store, kb, "restricted", 2)
+        for tenant in range(33):
+            other = self._tenant_chain(kb.rules, f"t{tenant}x", 4)
+            self._snapshot(store, other, "restricted", 1)
+        grown = grow(kb, ["e(v3, v4)", "e(v4, v5)"])
+        entry = store.resolve_ancestor(grown, "restricted", 1)
+        assert entry is not None
+        assert sorted(map(str, entry.missing_atoms)) == [
+            "e(v3, v4)",
+            "e(v4, v5)",
+        ]
+
+    def test_request_sharing_no_fact_reads_no_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        kb = transitive_closure_kb(3)
+        store = SnapshotStore(tmp_path)
+        for tenant in range(5):
+            other = self._tenant_chain(kb.rules, f"t{tenant}x", 2)
+            self._snapshot(store, other, "restricted", 1)
+        stranger = self._tenant_chain(kb.rules, "stranger", 4)
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert store.resolve_ancestor(stranger, "restricted", 1) is None
+        assert parsed == []
 
     def test_fresh_prefix_collision_rejected(self, tmp_path):
         # A delta fact whose null uses the engine's fresh prefix could
