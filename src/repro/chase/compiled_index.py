@@ -2,8 +2,8 @@
 
 :class:`CompiledTriggerIndex` is the trigger index the chase engine
 builds.  Its base, :class:`~repro.chase.trigger_index.TriggerIndex`,
-keeps the live-trigger pool (growth absorption and retraction
-transports — see its module docstring); this subclass supplies the one
+keeps the trigger pool (growth absorption and retraction transports —
+see its module docstring); this subclass supplies the one
 step the base leaves open, the *discovery join* of a growth step: which
 triggers send some body atom onto a delta atom.  It compiles that join
 once per rule:
@@ -30,6 +30,10 @@ triggers through a simplification without any matching, and the
 underlying :class:`~repro.logic.compiled.relations.CompiledView`
 absorbs the corresponding tuple deletions through ``AtomSet.discard``
 forwarding (plus delta invalidation of the cached per-plan pools).
+
+A restore builds the index from a checkpoint's active set (the
+``active`` keys): the rule plans are compiled, the pool is seeded, and
+the instance is neither enumerated nor encoded until the first delta.
 """
 
 from __future__ import annotations
@@ -60,12 +64,15 @@ class CompiledTriggerIndex(TriggerIndex):
         rules: Iterable[ExistentialRule],
         instance: AtomSet,
         track_satisfaction: bool = True,
+        active: Optional[Iterable[tuple]] = None,
     ):
         self._plans: dict = {}
         self._plans_generation: Optional[int] = None
         #: Plans run by the current apply_delta (its join_plan event).
         self._plans_run = 0
-        super().__init__(rules, instance, track_satisfaction=track_satisfaction)
+        super().__init__(
+            rules, instance, track_satisfaction=track_satisfaction, active=active
+        )
         self._compile_plans()
 
     # ------------------------------------------------------------------

@@ -17,11 +17,13 @@ Fair scheduling
 Definition 3 requires every trigger to be eventually satisfied.  The
 engine enumerates the active triggers of the current instance before
 every application and picks the *oldest* one (age = step at which a
-trigger with that canonical key was first seen, keys transported through
-simplifications), breaking ties deterministically.  An unsatisfied
-trigger therefore cannot be postponed forever: only the finitely many
-older triggers can precede it, and each selection either satisfies or
-retires one of them.
+trigger with that canonical key was first seen active, keys transported
+through simplifications), breaking ties deterministically.  An
+unsatisfied trigger therefore cannot be postponed forever: only the
+finitely many older triggers can precede it, and each selection either
+satisfies or retires one of them.  Only the active triggers' ages are
+kept: a trigger that stops being active never becomes active again
+(see :mod:`repro.chase.trigger_index`), so its age is never read.
 
 Termination
 -----------
@@ -35,19 +37,22 @@ exactly when the KB has a finite universal model (Deutsch, Nash & Remmel
 Checkpoint / resume and cooperative cancellation
 ------------------------------------------------
 The engine's run state is a small, explicit value: the current instance,
-the oblivious memory, the fair-scheduling ages, the fresh-null counter,
-and the core-cadence bookkeeping.  :meth:`ChaseEngine.export_state`
-captures it as a :class:`ChaseState`; :meth:`ChaseEngine.restore_state`
-rebuilds a fresh engine from one (the trigger index and the
-core-maintenance certificates are *derived* structures, built on the
-first step, so they never need to be persisted — and a restore whose
-resume takes no step never builds them at all).  A
-restored run continues the original derivation exactly: ages carry the
-absolute birth steps via an internal offset, so fair scheduling makes
-the same choices it would have made without the checkpoint, and the
-restored fresh source invents the same nulls.  The service layer
-(:mod:`repro.service`) persists these states as chase snapshots so
-repeated queries against the same KB warm-start instead of re-chasing.
+its active triggers with their ages, the oblivious memory (oblivious and
+semi-oblivious variants only), the fresh-null counter, and the
+core-cadence bookkeeping.  :meth:`ChaseEngine.export_state` captures it
+as a :class:`ChaseState`; :meth:`ChaseEngine.restore_state` rebuilds a
+fresh engine from one.  The trigger index is built on the first step
+after a restore, seeded from the stored active set instead of
+enumerating the instance, and the facts an ancestor merge injected
+(:func:`merge_facts_into_state`) enter it as one delta; the
+core-maintenance certificates are rebuilt from the instance.  A restore
+whose resume takes no step builds neither.  A restored run continues
+the original derivation exactly: ages carry the absolute birth steps
+via an internal offset, so fair scheduling makes the same choices it
+would have made without the checkpoint, and the restored fresh source
+invents the same nulls.  The service layer (:mod:`repro.service`)
+persists these states as chase snapshots so repeated queries against
+the same KB warm-start instead of re-chasing.
 
 ``run``/``resume`` also accept a ``should_stop`` callable, polled once
 per iteration *before* any work for that step begins — the cooperative
@@ -79,10 +84,7 @@ __all__ = [
     "ChaseVariant",
     "ChaseResult",
     "ChaseState",
-    "ChaseStateDelta",
     "ChaseEngine",
-    "diff_chase_states",
-    "apply_chase_state_delta",
     "merge_facts_into_state",
     "run_chase",
 ]
@@ -107,6 +109,11 @@ class ChaseVariant:
     CORE = "core"
 
     ALL = (OBLIVIOUS, SEMI_OBLIVIOUS, RESTRICTED, FRUGAL, CORE)
+
+
+#: The variants that remember applications instead of testing
+#: satisfaction: the only ones with an oblivious memory.
+_OBLIVIOUS_VARIANTS = (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS)
 
 
 @dataclass
@@ -176,15 +183,18 @@ class ChaseResult:
 class ChaseState:
     """A resumable checkpoint of a chase run (see the module docstring).
 
-    Everything here is *primary* state: the derived accelerators
-    (trigger index, compiled views, core-maintenance certificates) are
-    built on the first step after a restore.
-    ``ages`` and ``applied_keys`` use the engine's canonical
-    trigger keys — ``(rule_name, image)`` with ``image`` a sorted tuple
-    of ``(Variable, Term)`` pairs — so a state is meaningful only
-    together with the KB it was exported from;
-    :mod:`repro.service.snapshots` pairs it with a KB fingerprint on
-    disk for exactly that reason.
+    ``active`` lists the active triggers of ``instance`` in pool order,
+    each as ``(key, age)``: ``key`` is the engine's canonical trigger
+    key — ``(rule_name, image)`` with ``image`` a sorted tuple of
+    ``(Variable, Term)`` pairs — and ``age`` its birth step, or None if
+    no step has stamped it yet.  ``pending`` holds atoms of ``instance``
+    that ``active`` does not account for yet (facts an ancestor merge
+    injected); the first resumed step absorbs them as one delta.
+    ``applied_keys``, the oblivious memory, is kept only by the
+    oblivious and semi-oblivious variants.  Keys name rules and terms,
+    so a state is meaningful only together with the KB it was exported
+    from; :mod:`repro.service.snapshots` pairs it with a KB fingerprint
+    on disk for exactly that reason.
     """
 
     variant: str
@@ -192,8 +202,9 @@ class ChaseState:
     fresh_prefix: str
     fresh_count: int
     instance: AtomSet
+    active: list = field(default_factory=list)
+    pending: list = field(default_factory=list)
     applied_keys: set = field(default_factory=set)
-    ages: dict = field(default_factory=dict)
     terminated: bool = False
     applications: int = 0
     applications_since_core: int = 0
@@ -202,110 +213,9 @@ class ChaseState:
     def __repr__(self) -> str:  # the default would dump whole instances
         return (
             f"ChaseState({self.variant}, {self.applications} applications, "
-            f"{len(self.instance)} atoms, "
+            f"{len(self.instance)} atoms, {len(self.active)} active, "
             f"{'terminated' if self.terminated else 'resumable'})"
         )
-
-
-@dataclass
-class ChaseStateDelta:
-    """The difference between two checkpoints of one derivation.
-
-    Produced by :func:`diff_chase_states` and undone by
-    :func:`apply_chase_state_delta`; the snapshot store persists these
-    instead of full states, so a run that advanced a few steps costs a
-    few atoms on disk rather than a whole instance.  Scalars are stored
-    as the *child's* values (they do not compress); collections are
-    stored as set differences.  ``delta_since_core`` is replaced
-    wholesale — it is bounded by the core cadence and usually tiny.
-    """
-
-    fresh_count: int
-    terminated: bool
-    applications: int
-    applications_since_core: int
-    added_atoms: list = field(default_factory=list)
-    removed_atoms: list = field(default_factory=list)
-    added_applied_keys: list = field(default_factory=list)
-    removed_applied_keys: list = field(default_factory=list)
-    ages_set: list = field(default_factory=list)
-    ages_removed: list = field(default_factory=list)
-    delta_since_core: list = field(default_factory=list)
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaseStateDelta(+{len(self.added_atoms)}/"
-            f"-{len(self.removed_atoms)} atoms, "
-            f"-> {self.applications} applications)"
-        )
-
-
-def diff_chase_states(parent: ChaseState, child: ChaseState) -> ChaseStateDelta:
-    """The delta taking *parent* to *child* (two checkpoints of the same
-    configured derivation); ``apply_chase_state_delta(parent, delta)``
-    reconstructs *child* exactly.
-
-    The two states must agree on the configuration fields (variant,
-    core cadence, fresh prefix) — a delta never crosses configurations.
-    """
-    for attr in ("variant", "core_every", "fresh_prefix"):
-        if getattr(parent, attr) != getattr(child, attr):
-            raise ValueError(
-                f"cannot diff states with different {attr}: "
-                f"{getattr(parent, attr)!r} vs {getattr(child, attr)!r}"
-            )
-    return ChaseStateDelta(
-        fresh_count=child.fresh_count,
-        terminated=child.terminated,
-        applications=child.applications,
-        applications_since_core=child.applications_since_core,
-        added_atoms=child.instance.difference(parent.instance).sorted_atoms(),
-        removed_atoms=parent.instance.difference(child.instance).sorted_atoms(),
-        added_applied_keys=list(child.applied_keys - parent.applied_keys),
-        removed_applied_keys=list(parent.applied_keys - child.applied_keys),
-        ages_set=[
-            (key, age)
-            for key, age in child.ages.items()
-            if parent.ages.get(key) != age
-        ],
-        ages_removed=[key for key in parent.ages if key not in child.ages],
-        delta_since_core=list(child.delta_since_core),
-    )
-
-
-def apply_chase_state_delta(
-    parent: ChaseState, delta: ChaseStateDelta
-) -> ChaseState:
-    """Reconstruct the child checkpoint from *parent* and *delta*.
-
-    Pure: *parent* is not mutated, so a chain of deltas can be replayed
-    against a base checkpoint read from disk.
-    """
-    instance = parent.instance.copy()
-    for atom in delta.removed_atoms:
-        instance.discard(atom)
-    for atom in delta.added_atoms:
-        instance.add(atom)
-    applied = set(parent.applied_keys)
-    applied.difference_update(delta.removed_applied_keys)
-    applied.update(delta.added_applied_keys)
-    ages = dict(parent.ages)
-    for key in delta.ages_removed:
-        ages.pop(key, None)
-    ages.update(delta.ages_set)
-    return ChaseState(
-        variant=parent.variant,
-        core_every=parent.core_every,
-        fresh_prefix=parent.fresh_prefix,
-        fresh_count=delta.fresh_count,
-        instance=instance,
-        applied_keys=applied,
-        ages=ages,
-        terminated=delta.terminated,
-        applications=delta.applications,
-        applications_since_core=delta.applications_since_core,
-        delta_since_core=list(delta.delta_since_core),
-    )
 
 
 def merge_facts_into_state(state: ChaseState, atoms) -> ChaseState:
@@ -317,8 +227,10 @@ def merge_facts_into_state(state: ChaseState, atoms) -> ChaseState:
     merged state and resuming is a fair continuation of a chase of the
     *grown* KB — the ancestor's applications happened against a subset
     of the facts (every trigger body that mapped into ``F_i`` still maps
-    into ``F_i ∪ atoms``), and the rebuilt trigger index enumerates the
-    new facts' triggers alongside the surviving old ones.  Soundness
+    into ``F_i ∪ atoms``).  The new atoms are recorded as ``pending``:
+    the restored trigger index absorbs them as one delta, which finds
+    their triggers and rechecks the stored active ones they can
+    satisfy.  Soundness
     preconditions (the injected atoms share no nulls with the ancestor's
     facts or state) are the caller's responsibility —
     :meth:`repro.service.snapshots.SnapshotStore.resolve_ancestor`
@@ -339,8 +251,9 @@ def merge_facts_into_state(state: ChaseState, atoms) -> ChaseState:
         fresh_prefix=state.fresh_prefix,
         fresh_count=state.fresh_count,
         instance=instance,
+        active=list(state.active),
+        pending=list(state.pending) + fresh,
         applied_keys=set(state.applied_keys),
-        ages=dict(state.ages),
         terminated=state.terminated and not fresh,
         applications=state.applications,
         applications_since_core=state.applications_since_core,
@@ -437,7 +350,12 @@ class ChaseEngine:
             self._steps = [DerivationStep(0, None, raw_facts, sigma0, current)]
             self._current = current
             self._applied_keys: set = set()  # oblivious / semi-oblivious memory
-            self._ages: dict = {}  # canonical trigger key -> birth step
+            #: canonical key -> birth step, for the active triggers
+            self._ages: dict = {}
+            #: A restored checkpoint's active set and pending facts,
+            #: until the first step builds the index from them.
+            self._seed: Optional[list] = None
+            self._pending: list = []
             self._terminated = False
             self._applications_since_core = 0
             #: Applications recorded before this engine's own _steps —
@@ -494,8 +412,9 @@ class ChaseEngine:
             fresh_prefix=self._fresh.prefix,
             fresh_count=self._fresh.count,
             instance=self._current.copy(),
+            active=self._active_set(),
+            pending=list(self._pending),
             applied_keys=set(self._applied_keys),
-            ages=dict(self._ages),
             terminated=self._terminated,
             applications=len(self._steps) - 1 + self.applications_offset,
             applications_since_core=self._applications_since_core,
@@ -510,11 +429,11 @@ class ChaseEngine:
         and core cadence the state was exported under (the KB pairing is
         the caller's responsibility — see
         :mod:`repro.service.snapshots`, which enforces it with a
-        fingerprint).  Derived structures (trigger index, core
-        certificates) are built on the first step, from the instance
-        current then: a resume that stops before computing an active
-        pool — a zero budget, a restored fixpoint, a query that already
-        holds — never pays for them.
+        fingerprint).  Derived structures are built on the first step:
+        the trigger index from the state's active set and pending facts,
+        the core certificates from the instance.  A resume that stops
+        before computing an active pool — a zero budget, a restored
+        fixpoint, a query that already holds — never pays for them.
         """
         if state.variant != self.variant:
             raise ValueError(
@@ -540,7 +459,9 @@ class ChaseEngine:
             ]
             self._current = current
             self._applied_keys = set(state.applied_keys)
-            self._ages = dict(state.ages)
+            self._ages = {key: age for key, age in state.active if age is not None}
+            self._seed = list(state.active)
+            self._pending = list(state.pending)
             self._terminated = state.terminated
             self._applications_since_core = state.applications_since_core
             self.applications_offset = state.applications
@@ -556,15 +477,40 @@ class ChaseEngine:
         return None
 
     def _install_index(self, current: AtomSet) -> None:
-        if _indexing.atom_index_enabled():
-            self._index: Optional[CompiledTriggerIndex] = CompiledTriggerIndex(
-                self.kb.rules,
-                current,
-                track_satisfaction=self.variant
-                not in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS),
-            )
+        """Build the trigger index of *current*, or none on the naive
+        path.  After a restore it is seeded from the checkpoint's active
+        set, and the pending facts enter it as one delta; otherwise it
+        enumerates *current*.  Either way the restored set is used up:
+        the step about to run makes it stale."""
+        seed, pending = self._seed, self._pending
+        self._seed, self._pending = None, []
+        if not _indexing.atom_index_enabled():
+            self._index: Optional[CompiledTriggerIndex] = None
+            return
+        self._index = CompiledTriggerIndex(
+            self.kb.rules,
+            current,
+            track_satisfaction=self.variant not in _OBLIVIOUS_VARIANTS,
+            active=None if seed is None else [key for key, _age in seed],
+        )
+        if pending:
+            self._index.apply_delta(current, pending)
+
+    def _active_set(self) -> list:
+        """``(key, age)`` of every active trigger of the current
+        instance, in pool order: the restored set before the first step,
+        else the index's pool, else (naive path) a scan."""
+        if self._seed is not None:
+            return list(self._seed)
+        if self._terminated:
+            return []
+        if self._index is not None:
+            active = self._indexed_active_triggers()
         else:
-            self._index = None
+            with self._index_scope():
+                active = self._active_triggers(self._current, self._applied_keys)
+        ages = self._ages
+        return [(key, ages.get(key)) for key in map(self._age_key, active)]
 
     def _index_scope(self):
         """The indexing configuration a run executes under: the ambient
@@ -602,9 +548,10 @@ class ChaseEngine:
                     variant=self.variant,
                     atoms=len(self._current),
                 )
-            if self._index is None and self.use_index:
+            if self._index is None:
                 # First pool computation after a restore: build the
-                # index now, under this resume's indexing scope.
+                # index now, under this resume's indexing scope (on the
+                # naive path this only drops the restored active set).
                 self._install_index(self._current)
             if self._index is not None:
                 active = self._indexed_active_triggers()
@@ -615,11 +562,16 @@ class ChaseEngine:
             if not active:
                 self._terminated = True
                 break
+            # Keep the ages of the active triggers only: a trigger that
+            # left the active set never returns to it.
+            ages = self._ages
+            self._ages = stamped = {}
             for trigger in active:
-                self._ages.setdefault(self._age_key(trigger), birth)
+                key = self._age_key(trigger)
+                stamped[key] = ages.get(key, birth)
             chosen = min(
                 active,
-                key=lambda tr: (self._ages[self._age_key(tr)], tr.sort_key()),
+                key=lambda tr: (stamped[self._age_key(tr)], tr.sort_key()),
             )
             if observer is not None:
                 observer.emit(
@@ -632,7 +584,8 @@ class ChaseEngine:
             pre_instance, pi_safe = apply_trigger(
                 self._current, chosen, self._fresh
             )
-            self._applied_keys.add(self._memory_key(chosen))
+            if self.variant in _OBLIVIOUS_VARIANTS:
+                self._applied_keys.add(self._memory_key(chosen))
             delta: list = []
             if self._index is not None:
                 seen_delta: set = set()
@@ -730,10 +683,10 @@ class ChaseEngine:
     def _indexed_active_triggers(self) -> list[Trigger]:
         """The active pool, read off the incremental index: the same set
         :meth:`_active_triggers` enumerates from scratch."""
-        if self.variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS):
+        if self.variant in _OBLIVIOUS_VARIANTS:
             return [
                 trigger
-                for trigger in self._index.live_triggers()
+                for trigger in self._index.unsatisfied_triggers()
                 if self._memory_key(trigger) not in self._applied_keys
             ]
         return self._index.unsatisfied_triggers()
@@ -768,7 +721,9 @@ class ChaseEngine:
     def _transport_ages(ages: dict, sigma: Substitution) -> dict:
         """Carry trigger ages across a simplification: the transported
         trigger ``σ(tr)`` inherits the age of ``tr`` (keeping the oldest
-        when several collapse onto the same key)."""
+        when several collapse onto the same key).  A trigger satisfied
+        before ``σ`` is satisfied after it, so only active triggers can
+        pass an age on to an active one."""
         transported: dict = {}
         for (rule_name, image), age in ages.items():
             new_image = tuple(

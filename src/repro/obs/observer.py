@@ -196,12 +196,6 @@ def _snapshot_access(reg, f):
         reg.counter("snapshot.evicted").inc()
     else:
         reg.counter("snapshot.saves").inc()
-        if f["bytes_saved"] > 0:
-            reg.counter("snapshot.bytes_saved").inc(f["bytes_saved"])
-    if f["chain_broken"]:
-        reg.counter("snapshot.chain_broken").inc()
-    if hit and f["chain_depth"]:
-        reg.gauge("snapshot.delta_chain_depth").set(f["chain_depth"])
 
 
 def _treewidth_search(reg, f):
@@ -299,8 +293,7 @@ EVENTS: dict[str, Event] = {
     ),
     "snapshot_access": Event(
         ("op", "hit"),
-        {"corrupt": False, "atoms": 0, "seconds": 0.0, "chain_depth": 0,
-         "chain_broken": False, "bytes_saved": 0, "ancestor": False},
+        {"corrupt": False, "atoms": 0, "seconds": 0.0, "ancestor": False},
         update=_snapshot_access,
     ),
     "treewidth_search": Event(

@@ -234,10 +234,6 @@ ROWS = (
         shown=("snapshot_ancestor_probes",)),
     Row("service", "snapshot_ancestor_hits", "snapshot.ancestor_hits", "ancestor hits",
         shown=("snapshot_ancestor_probes",)),
-    Row("service", "snapshot_chain_broken", "snapshot.chain_broken", "snapshot chains broken",
-        shown=("snapshot_chain_broken",)),
-    Row("service", "snapshot_bytes_saved", "snapshot.bytes_saved",
-        "snapshot bytes saved (delta vs full)", shown=("snapshot_bytes_saved",)),
 )
 
 #: The Totals table lists a section's rows only when one of these keys

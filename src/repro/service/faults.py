@@ -200,22 +200,16 @@ def fire_snapshot_corruption(
 def corrupt_latest_snapshot(root: PathLike, mode: str = "garbage") -> Optional[pathlib.Path]:
     """Mangle the newest snapshot record under *root*; returns its path.
 
-    Schema-2 stores keep their content-addressed records under
-    ``root/objects/``; legacy schema-1 full blobs sit directly in
-    *root* — both locations are searched, newest mtime wins (the record
-    the job just saved).
+    The store keeps its content-addressed records under
+    ``root/objects/``; the newest mtime wins (the record the job just
+    saved).
 
     Modes: ``garbage`` (non-JSON bytes), ``truncate`` (torn tail) and
     ``adversarial`` (valid JSON envelope whose state decodes into
     nonsense — the case that must be *classified* corrupt rather than
     crash the worker)."""
     root = pathlib.Path(root)
-    candidates = [
-        path
-        for directory in (root / "objects", root)
-        if directory.is_dir()
-        for path in directory.glob("*.json")
-    ]
+    candidates = list((root / "objects").glob("*.json"))
     candidates.sort(key=lambda path: path.stat().st_mtime)
     if not candidates:
         return None
@@ -227,7 +221,7 @@ def corrupt_latest_snapshot(root: PathLike, mode: str = "garbage") -> Optional[p
         target.write_text(text[: max(1, len(text) // 2)])
     elif mode == "adversarial":
         # A well-formed envelope that passes the schema check but whose
-        # state (or delta) is structurally hostile to the deserializer.
+        # state is structurally hostile to the deserializer.
         try:
             payload = json.loads(target.read_text())
         except ValueError:
@@ -236,13 +230,10 @@ def corrupt_latest_snapshot(root: PathLike, mode: str = "garbage") -> Optional[p
             "variant": {"nested": ["garbage"]},
             "core_every": None,
             "instance": [[["deep", ["er"]], {"kind": 99}]],
+            "active": "not-a-list",
             "applied_keys": [0.5],
-            "ages": "not-a-list",
         }
-        if payload.get("kind") == "delta":
-            payload["delta"] = hostile
-        else:
-            payload["state"] = hostile
+        payload["state"] = hostile
         target.write_text(json.dumps(payload))
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")

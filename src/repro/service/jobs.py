@@ -543,14 +543,10 @@ def _execute(
         if store is not None and (
             snapshot is None or ancestor or total > snapshot.applications
         ):
-            # Resumed saves pass the loaded entry back so the store appends
-            # a delta record to its chain instead of writing a full blob;
-            # an ancestor save files the grown KB's own (new) key, its
-            # chain sharing the ancestor's records.
+            # An ancestor save files the grown KB's own (new) key; a
+            # resumed save replaces its key's record.
             with _span("snapshot_save"):
-                store.save(
-                    kb, engine.export_state(), parent=entry if resumed else None
-                )
+                store.save(kb, engine.export_state())
 
     for i in sorted(open_queries):
         counter = None

@@ -505,12 +505,6 @@ class EntailmentServer:
             "snapshot_ancestor_hits": metrics.get(
                 "snapshot.ancestor_hits", {}
             ).get("value", 0),
-            "snapshot_chains_broken": metrics.get(
-                "snapshot.chain_broken", {}
-            ).get("value", 0),
-            "snapshot_bytes_saved": metrics.get(
-                "snapshot.bytes_saved", {}
-            ).get("value", 0),
             "planner": {
                 "enabled": self.planner,
                 "strategies": dict(sorted(self.strategies.items())),

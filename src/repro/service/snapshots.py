@@ -1,4 +1,4 @@
-"""A content-addressed delta store of resumable chase checkpoints.
+"""A content-addressed store of resumable chase checkpoints.
 
 The serving system's warm-start path: after answering a job the worker
 exports the engine's :class:`~repro.chase.engine.ChaseState` and files
@@ -20,20 +20,18 @@ the key bakes in everything that shapes the derivation:
 where :func:`kb_fingerprint` hashes the canonical text of the facts
 (sorted atoms) and rules.  Editing a fact or a rule changes the
 fingerprint, which changes the key — stale snapshots are never *read*.
-A schema-version bump orphans older snapshots the same way (schema-1
-full-blob files are additionally *migrated* in place, see below).
 
-Storage format (schema 2)
+Storage format (schema 3)
 -------------------------
 Two pieces under the store root:
 
 ``catalog.sqlite``
-    The index: one ``snapshots`` row per key (fingerprints, chain head,
-    sizes, a **monotonic access counter** for LRU) and one ``records``
-    row per stored object.  Startup no longer stats the directory — the
-    catalog is the directory — and eviction is a transaction, so a
-    crash can orphan at most blob *files* (cleaned opportunistically),
-    never catalog state.  The catalog runs in WAL mode with
+    The index: one ``snapshots`` row per key (fingerprints, record
+    hash and size, counts, a **monotonic access counter** for LRU) and
+    one ``snapshot_facts`` row per fact of each entry.  Startup never
+    stats the directory — the catalog is the directory — and eviction
+    is a transaction, so a crash can orphan at most blob *files*, never
+    catalog state.  The catalog runs in WAL mode with
     ``synchronous=NORMAL`` (sidecar files ``catalog.sqlite-wal`` and
     ``-shm``): a commit is durable once the process that made it dies,
     and an OS crash or power loss can drop only the last commits — a
@@ -41,38 +39,27 @@ Two pieces under the store root:
     wrong answer.  WAL needs a local filesystem.
 
 ``objects/<sha256>.json``
-    Content-addressed records.  A ``base`` record carries a full
-    serialized state; a ``delta`` record carries a
-    :class:`~repro.chase.engine.ChaseStateDelta` against its ``parent``
-    record.  A snapshot is the chain ``head → … → base`` replayed
-    oldest-first.  Saves that resume a loaded snapshot append a delta
-    (tiny: the atoms and bookkeeping that changed); chains re-checkpoint
-    to a fresh base when they exceed :attr:`SnapshotStore.max_chain_depth`
-    records or :data:`CHAIN_BYTES_FACTOR` times the full-state size.
-    Records are verified against their name's hash on read; any broken
-    link discards the whole entry (counted as ``snapshot.chain_broken``)
-    and the job falls back to a cold chase.
+    Content-addressed records, one per snapshot:
+    ``{"schema": 3, "state": ...}`` with the whole serialized state —
+    the instance, its active triggers with their ages, and the
+    bookkeeping (:func:`chase_state_to_obj`).  A record is verified
+    against its name's hash on every read; a damaged one discards its
+    entry (``snapshot.corrupt``) and the job falls back to a cold chase.
+
+Snapshots are a cache, so an older store is not migrated: a catalog of
+another schema is recreated empty when the store opens and the old
+store's files are removed; its requests miss once and chase cold.
 
 Ancestor resolution
 -------------------
-Every schema-2 entry stores a *facts manifest*: the per-fact hashes of
-the KB's sorted fact lines.  On an exact-key miss,
-:meth:`SnapshotStore.resolve_ancestor` scans same-rules/same-config
-entries whose manifest is a proper subset of the incoming KB's facts,
-loads the nearest one (most shared facts, then deepest prefix), and
-hands back the state plus the missing facts;
+The ``snapshot_facts`` rows hold the per-fact hashes of each entry's
+KB.  On an exact-key miss, :meth:`SnapshotStore.resolve_ancestor` finds
+the same-rules/same-config entries whose facts are a proper subset of
+the incoming KB's, loads the nearest one (most shared facts, then
+deepest prefix), and hands back the state plus the missing facts;
 :func:`~repro.chase.engine.merge_facts_into_state` grafts them on and
 the engine resumes incrementally.  Soundness gates (refusing shared or
 colliding nulls) are documented on :meth:`~SnapshotStore.resolve_ancestor`.
-
-Migration from schema 1
------------------------
-Schema-1 stores kept one full-blob JSON file per key at the store root.
-Construction imports each such file as a ``base`` record under its
-schema-2 key (the v1 payload carries the KB fingerprint and config) and
-unlinks the file; corrupt v1 files are discarded.  Migrated entries
-have no facts manifest, so they serve exact hits but are not ancestor
-candidates until their next save refreshes them.
 """
 
 from __future__ import annotations
@@ -90,12 +77,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from ..analysis.planner import ruleset_fingerprint
-from ..chase.engine import (
-    ChaseState,
-    ChaseStateDelta,
-    apply_chase_state_delta,
-    diff_chase_states,
-)
+from ..chase.engine import ChaseState
 from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
 from ..logic.serialization import (
@@ -113,33 +95,19 @@ from ..obs import observer as _observer_state
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "TMP_ORPHAN_GRACE",
-    "DEFAULT_MAX_CHAIN_DEPTH",
-    "CHAIN_BYTES_FACTOR",
     "kb_fingerprint",
     "facts_manifest",
     "snapshot_key",
     "chase_state_to_obj",
     "chase_state_from_obj",
-    "state_delta_to_obj",
-    "state_delta_from_obj",
     "SnapshotEntry",
     "SnapshotStore",
 ]
 
 #: Bump when the on-disk layout changes; old snapshots are then orphaned
-#: (never mis-read) because the schema participates in the key.
-#: Schema 1 (full-blob files) is special-cased: migrated, not orphaned.
-SNAPSHOT_SCHEMA = 2
-
-#: Chains longer than this re-checkpoint to a fresh base record on the
-#: next save (overridable per store).  Bounds both load-time replay work
-#: and the blast radius of a corrupt mid-chain record.
-DEFAULT_MAX_CHAIN_DEPTH = 8
-
-#: A chain also re-checkpoints when its accumulated record bytes would
-#: exceed this multiple of the full-state size — past that, replaying
-#: deltas stops being cheaper than reading a fresh base.
-CHAIN_BYTES_FACTOR = 2.0
+#: (never mis-read) because the schema participates in the key, and a
+#: catalog of another schema is recreated when the store opens.
+SNAPSHOT_SCHEMA = 3
 
 PathLike = Union[str, pathlib.Path]
 
@@ -162,26 +130,31 @@ def facts_manifest(kb: KnowledgeBase) -> list:
     The manifest makes subset probing cheap: KB A's facts are a subset
     of KB B's iff A's manifest is a subset of B's (the line is the
     canonical atom text, so equal lines are equal atoms).  16 hex chars
-    (64 bits) per fact keeps manifests compact in the catalog.
+    (64 bits) per fact keeps the catalog's fact rows compact.
     """
-    return [
-        hashlib.sha256(str(atom).encode()).hexdigest()[:16]
+    return list(_fact_hashes(kb))
+
+
+def _fact_hashes(kb: KnowledgeBase) -> dict:
+    """:func:`facts_manifest` as a map from each hash to its fact."""
+    return {
+        hashlib.sha256(str(atom).encode()).hexdigest()[:16]: atom
         for atom in kb.facts.sorted_atoms()
-    ]
+    }
 
 
 def snapshot_key(kb: KnowledgeBase, variant: str, core_every: int = 1) -> str:
     """The store key for chasing *kb* with *variant* / *core_every*."""
-    return _v2_key(variant, core_every, kb_fingerprint(kb))
+    return _key(variant, core_every, kb_fingerprint(kb))
 
 
-def _v2_key(variant, core_every, kb_fp: str) -> str:
+def _key(variant, core_every, kb_fp: str) -> str:
     tag = f"{SNAPSHOT_SCHEMA}|{variant}|{core_every}|{kb_fp}"
     return hashlib.sha256(tag.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# ChaseState / ChaseStateDelta <-> JSON objects
+# ChaseState <-> JSON objects
 # ---------------------------------------------------------------------------
 
 
@@ -214,22 +187,22 @@ def _memo_term(terms: dict, tag: str, name: str):
 def chase_state_to_obj(state: ChaseState) -> dict:
     """Serialize a :class:`ChaseState` as a JSON-ready dict.
 
-    Trigger keys (``applied_keys`` entries and ``ages`` keys) are
+    Trigger keys (``active`` entries and ``applied_keys``) are
     ``(rule_name, ((Variable, Term), ...))`` tuples; they serialize
-    through the tagged term objects and are emitted in sorted order so
-    the output is deterministic."""
-    applied = sorted(map(_trigger_key_to_obj, state.applied_keys))
-    ages = sorted(
-        [_trigger_key_to_obj(key), age] for key, age in state.ages.items()
-    )
+    through the tagged term objects.  ``active`` keeps its pool order
+    and ``applied_keys`` is emitted sorted, so the output is
+    deterministic."""
     return {
         "variant": state.variant,
         "core_every": state.core_every,
         "fresh_prefix": state.fresh_prefix,
         "fresh_count": state.fresh_count,
         "instance": instance_to_obj(state.instance),
-        "applied_keys": applied,
-        "ages": ages,
+        "active": [
+            [_trigger_key_to_obj(key), age] for key, age in state.active
+        ],
+        "pending": [atom_to_obj(at) for at in state.pending],
+        "applied_keys": sorted(map(_trigger_key_to_obj, state.applied_keys)),
         "terminated": state.terminated,
         "applications": state.applications,
         "applications_since_core": state.applications_since_core,
@@ -246,73 +219,16 @@ def chase_state_from_obj(obj: dict) -> ChaseState:
         fresh_prefix=obj["fresh_prefix"],
         fresh_count=obj["fresh_count"],
         instance=instance_from_obj(obj["instance"]),
+        active=[
+            (_trigger_key_from_obj(key, terms), age) for key, age in obj["active"]
+        ],
+        pending=[atom_from_obj(item) for item in obj["pending"]],
         applied_keys={
             _trigger_key_from_obj(item, terms) for item in obj["applied_keys"]
         },
-        ages={
-            _trigger_key_from_obj(key, terms): age for key, age in obj["ages"]
-        },
         terminated=obj["terminated"],
         applications=obj["applications"],
         applications_since_core=obj["applications_since_core"],
-        delta_since_core=[
-            atom_from_obj(item) for item in obj["delta_since_core"]
-        ],
-    )
-
-
-def state_delta_to_obj(delta: ChaseStateDelta) -> dict:
-    """Serialize a :class:`ChaseStateDelta`; collections are emitted in
-    sorted order so equal deltas produce byte-equal (hence
-    content-address-equal) records."""
-    return {
-        "fresh_count": delta.fresh_count,
-        "terminated": delta.terminated,
-        "applications": delta.applications,
-        "applications_since_core": delta.applications_since_core,
-        "added_atoms": [atom_to_obj(at) for at in delta.added_atoms],
-        "removed_atoms": [atom_to_obj(at) for at in delta.removed_atoms],
-        "added_applied_keys": sorted(
-            map(_trigger_key_to_obj, delta.added_applied_keys)
-        ),
-        "removed_applied_keys": sorted(
-            map(_trigger_key_to_obj, delta.removed_applied_keys)
-        ),
-        "ages_set": sorted(
-            [_trigger_key_to_obj(key), age] for key, age in delta.ages_set
-        ),
-        "ages_removed": sorted(
-            map(_trigger_key_to_obj, delta.ages_removed)
-        ),
-        "delta_since_core": [
-            atom_to_obj(at) for at in delta.delta_since_core
-        ],
-    }
-
-
-def state_delta_from_obj(obj: dict) -> ChaseStateDelta:
-    """Parse a delta serialized by :func:`state_delta_to_obj`."""
-    terms: dict = {}
-    return ChaseStateDelta(
-        fresh_count=obj["fresh_count"],
-        terminated=obj["terminated"],
-        applications=obj["applications"],
-        applications_since_core=obj["applications_since_core"],
-        added_atoms=[atom_from_obj(item) for item in obj["added_atoms"]],
-        removed_atoms=[atom_from_obj(item) for item in obj["removed_atoms"]],
-        added_applied_keys=[
-            _trigger_key_from_obj(item, terms) for item in obj["added_applied_keys"]
-        ],
-        removed_applied_keys=[
-            _trigger_key_from_obj(item, terms)
-            for item in obj["removed_applied_keys"]
-        ],
-        ages_set=[
-            (_trigger_key_from_obj(key, terms), age) for key, age in obj["ages_set"]
-        ],
-        ages_removed=[
-            _trigger_key_from_obj(item, terms) for item in obj["ages_removed"]
-        ],
         delta_since_core=[
             atom_from_obj(item) for item in obj["delta_since_core"]
         ],
@@ -338,47 +254,39 @@ _OBJECTS_DIR = "objects"
 _BUSY_TIMEOUT = 30.0
 
 _SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS meta (
+CREATE TABLE meta (
     k TEXT PRIMARY KEY,
     v INTEGER NOT NULL
 );
-CREATE TABLE IF NOT EXISTS records (
-    hash TEXT PRIMARY KEY,
-    kind TEXT NOT NULL,
-    parent TEXT,
-    bytes INTEGER NOT NULL,
-    full_bytes INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS snapshots (
+CREATE TABLE snapshots (
     key TEXT PRIMARY KEY,
     kb_fingerprint TEXT NOT NULL,
-    rules_fingerprint TEXT,
+    rules_fingerprint TEXT NOT NULL,
     variant TEXT NOT NULL,
     core_every INTEGER NOT NULL,
-    head TEXT NOT NULL,
+    record TEXT NOT NULL,
+    bytes INTEGER NOT NULL,
     applications INTEGER NOT NULL,
     atoms INTEGER NOT NULL,
     terminated INTEGER NOT NULL,
-    chain_depth INTEGER NOT NULL,
-    chain_bytes INTEGER NOT NULL,
-    fact_count INTEGER,
-    facts_manifest TEXT,
+    fact_count INTEGER NOT NULL,
     last_access INTEGER NOT NULL
 );
-CREATE INDEX IF NOT EXISTS snapshots_ancestry
+CREATE INDEX snapshots_ancestry
     ON snapshots (rules_fingerprint, variant, core_every, fact_count);
-CREATE TABLE IF NOT EXISTS snapshot_facts (
+CREATE INDEX snapshots_by_record ON snapshots (record);
+CREATE TABLE snapshot_facts (
     line_hash TEXT NOT NULL,
     key TEXT NOT NULL,
     PRIMARY KEY (line_hash, key)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS snapshot_facts_by_key ON snapshot_facts (key);
-CREATE TABLE IF NOT EXISTS verdicts (
+CREATE INDEX snapshot_facts_by_key ON snapshot_facts (key);
+CREATE TABLE verdicts (
     rules_fingerprint TEXT PRIMARY KEY,
     verdict TEXT NOT NULL,
     created REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS query_plans (
+CREATE TABLE query_plans (
     rules_fingerprint TEXT NOT NULL,
     query_shape TEXT NOT NULL,
     plan TEXT NOT NULL,
@@ -390,14 +298,12 @@ CREATE TABLE IF NOT EXISTS query_plans (
 
 @dataclass
 class SnapshotEntry:
-    """A loaded snapshot plus the catalog context a resumed save needs.
+    """A loaded snapshot and the key it is filed under.
 
     ``state`` is the pristine checkpoint as stored (callers must not
     mutate it — :meth:`~repro.chase.engine.ChaseEngine.restore_state`
     copies, and :func:`~repro.chase.engine.merge_facts_into_state`
-    returns a new state).  Passing the entry back to
-    :meth:`SnapshotStore.save` as ``parent`` lets the store append a
-    delta record to this entry's chain instead of writing a full base.
+    returns a new state).
 
     For ancestor hits (:meth:`SnapshotStore.resolve_ancestor`),
     ``ancestor`` is True and ``missing_atoms`` holds the incoming KB's
@@ -407,15 +313,12 @@ class SnapshotEntry:
 
     state: ChaseState
     key: str
-    head: str
-    chain_depth: int
-    chain_bytes: int
     missing_atoms: list = field(default_factory=list)
     ancestor: bool = False
 
 
-class _ChainBroken(Exception):
-    """A chain record is missing, corrupt, or hash-mismatched."""
+class _DamagedRecord(Exception):
+    """A record is missing, corrupt, hash-mismatched or undecodable."""
 
 
 class SnapshotStore:
@@ -425,10 +328,10 @@ class SnapshotStore:
     the catalog serializes index updates (each operation is one
     transaction with a generous busy timeout), record blobs are
     immutable once written (temp file + :func:`os.replace`), and loads
-    treat anything unreadable as a miss — a broken chain is dropped
-    transactionally and the caller falls back to a cold chase.  A store
-    is meant to live as long as its process: each thread opens one
-    catalog connection on first use and reuses it.
+    treat anything unreadable as a miss — a damaged record's entry is
+    dropped transactionally and the caller falls back to a cold chase.
+    A store is meant to live as long as its process: each thread opens
+    one catalog connection on first use and reuses it.
 
     Hygiene (the store must survive crashing writers and run forever):
 
@@ -436,21 +339,21 @@ class SnapshotStore:
       mid-save — are garbage-collected once they are older than
       *tmp_grace_seconds*: at construction, and from :meth:`save` at
       most once per *tmp_grace_seconds*;
-    * construction migrates any schema-1 full-blob snapshots into the
-      catalog;
+    * construction recreates a catalog of an older schema, and removes
+      the old store's record files, in one transaction that two
+      workers opening the same old store can race through;
     * *max_entries* / *max_bytes* bound the store; past either bound,
       saves evict the least-recently-used snapshot — recency is the
       catalog's **monotonic access counter**, bumped inside the same
       transaction as the load or save it records, so eviction order is
       exact even on filesystems with coarse mtimes.  Each eviction
-      deletes the catalog row and then any chain records no surviving
-      entry reaches (chains may share suffixes, so eviction works at
-      record granularity without orphaning members) and the verdict and
-      query-plan rows of rulesets no surviving entry has; it is reported
-      via the ``snapshot_access`` telemetry event (``op="evict"``, the
-      ``snapshot.evicted`` metric).  The just-written snapshot is never
-      evicted, even when it alone exceeds *max_bytes* — such saves are
-      counted in :attr:`eviction_shortfalls` instead.
+      deletes the catalog row, its record unless another entry shares
+      it, and the verdict and query-plan rows of rulesets no surviving
+      entry has; it is reported via the ``snapshot_access`` telemetry
+      event (``op="evict"``, the ``snapshot.evicted`` metric).  The
+      just-written snapshot is never evicted, even when it alone
+      exceeds *max_bytes* — such saves are counted in
+      :attr:`eviction_shortfalls` instead.
     """
 
     def __init__(
@@ -459,32 +362,27 @@ class SnapshotStore:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
         tmp_grace_seconds: float = TMP_ORPHAN_GRACE,
-        max_chain_depth: int = DEFAULT_MAX_CHAIN_DEPTH,
     ):
         self.root = pathlib.Path(root)
         self.objects = self.root / _OBJECTS_DIR
         self.objects.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.max_chain_depth = max(1, int(max_chain_depth))
         self.tmp_grace_seconds = tmp_grace_seconds
         #: saves after which a bound could not be met because eviction
         #: never removes the most-recently-written snapshot
         self.eviction_shortfalls = 0
-        #: schema-1 files imported (or discarded as corrupt) at startup
-        self.migrated = 0
         self._catalog = self.root / _CATALOG_NAME
         #: each thread's catalog connection; see _connection
         self._local = threading.local()
         with self._db() as conn:
             _enable_wal(conn)
-            conn.executescript(_SCHEMA_SQL)
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (k, v) VALUES ('tick', 0)"
-            )
+            stale = self._create_catalog(conn)
+        for path in stale:
+            with contextlib.suppress(OSError):
+                path.unlink()
         self._gc_orphan_tmp_files(tmp_grace_seconds)
         self._last_tmp_gc = time.monotonic()
-        self._migrate_v1()
 
     # -- catalog plumbing ---------------------------------------------
 
@@ -521,6 +419,44 @@ class SnapshotStore:
                     conn.close()
             raise
 
+    def _create_catalog(self, conn: sqlite3.Connection) -> list:
+        """Create the catalog tables unless the catalog already has this
+        schema; a catalog of an older schema is dropped and recreated
+        empty.  Returns the files the old store left — its record blobs
+        and any schema-1 files in the root — to unlink once committed.
+
+        One ``BEGIN IMMEDIATE`` transaction, so a sibling worker opening
+        the same store waits for it and then finds the new schema."""
+        conn.execute("BEGIN IMMEDIATE")
+        tables = [
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%'"
+            )
+        ]
+        if "meta" in tables:
+            row = conn.execute(
+                "SELECT v FROM meta WHERE k = 'schema'"
+            ).fetchone()
+            if row is not None and row[0] == SNAPSHOT_SCHEMA:
+                conn.execute("COMMIT")
+                return []
+        for name in tables:
+            conn.execute(f'DROP TABLE "{name}"')
+        for statement in _SCHEMA_SQL.split(";"):
+            if statement.strip():
+                conn.execute(statement)
+        conn.execute(
+            "INSERT INTO meta (k, v) VALUES ('schema', ?), ('tick', 0)",
+            (SNAPSHOT_SCHEMA,),
+        )
+        # No writer of this schema can have existed before this commit,
+        # so every record file here is the old store's.
+        stale = [*self.objects.glob("*.json"), *self.root.glob("*.json")]
+        conn.execute("COMMIT")
+        return stale
+
     @staticmethod
     def _tick(conn: sqlite3.Connection) -> int:
         """Advance and return the monotonic access counter; must be
@@ -530,19 +466,28 @@ class SnapshotStore:
             "SELECT v FROM meta WHERE k = 'tick'"
         ).fetchone()[0]
 
+    def _touch(self, key: str) -> None:
+        """Record an access to *key* for the LRU order."""
+        with self._db() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            tick = self._tick(conn)
+            conn.execute(
+                "UPDATE snapshots SET last_access = ? WHERE key = ?",
+                (tick, key),
+            )
+            conn.execute("COMMIT")
+
     def _object_path(self, record_hash: str) -> pathlib.Path:
         return self.objects / f"{record_hash}.json"
 
-    def path_for(self, key: str) -> pathlib.Path:
-        """The blob holding *key*'s chain head (for cataloged keys), or
-        the legacy schema-1 location otherwise."""
+    def path_for(self, key: str) -> Optional[pathlib.Path]:
+        """The record file holding *key*'s snapshot, or None when the
+        catalog has no entry for *key*."""
         with self._db() as conn:
             row = conn.execute(
-                "SELECT head FROM snapshots WHERE key = ?", (key,)
+                "SELECT record FROM snapshots WHERE key = ?", (key,)
             ).fetchone()
-        if row is not None:
-            return self._object_path(row[0])
-        return self.root / f"{key}.json"
+        return self._object_path(row[0]) if row is not None else None
 
     def entry_count(self) -> int:
         with self._db() as conn:
@@ -554,9 +499,15 @@ class SnapshotStore:
         """Bytes held in record blobs (the catalog file is overhead,
         not content, and does not count against *max_bytes*)."""
         with self._db() as conn:
-            return conn.execute(
-                "SELECT COALESCE(SUM(bytes), 0) FROM records"
-            ).fetchone()[0]
+            return self._record_bytes(conn)
+
+    @staticmethod
+    def _record_bytes(conn: sqlite3.Connection) -> int:
+        """Bytes of the distinct records the catalog references."""
+        return conn.execute(
+            "SELECT COALESCE(SUM(bytes), 0) FROM "
+            "(SELECT MAX(bytes) AS bytes FROM snapshots GROUP BY record)"
+        ).fetchone()[0]
 
     # -- hygiene -------------------------------------------------------
 
@@ -574,77 +525,6 @@ class SnapshotStore:
                 except OSError:
                     continue  # a racing GC or the writer finishing; fine
         return collected
-
-    def _migrate_v1(self) -> int:
-        """Import schema-1 full-blob files into the catalog.
-
-        Each becomes a ``base`` record under its schema-2 key (the v1
-        payload carries the fingerprint and config).  The original KB
-        text is not recoverable from a v1 payload, so migrated entries
-        get no facts manifest — exact hits work immediately, ancestor
-        candidacy returns with the entry's next save.  Unparseable v1
-        files are discarded.  Returns how many files were consumed.
-        """
-        consumed = 0
-        for path in self.root.glob("*.json"):
-            try:
-                payload = json.loads(path.read_text())
-                if (
-                    not isinstance(payload, dict)
-                    or payload.get("schema") != 1
-                ):
-                    raise ValueError("not a schema-1 snapshot")
-                state_obj = payload["state"]
-                kb_fp = payload["kb_fingerprint"]
-                key = _v2_key(
-                    state_obj["variant"], state_obj["core_every"], kb_fp
-                )
-                blob = _dump_record(
-                    {"schema": SNAPSHOT_SCHEMA, "kind": "base",
-                     "state": state_obj}
-                )
-                record_hash = hashlib.sha256(blob).hexdigest()
-                self._write_blob(record_hash, blob)
-                with self._db() as conn:
-                    conn.execute("BEGIN IMMEDIATE")
-                    conn.execute(
-                        "INSERT OR IGNORE INTO records "
-                        "(hash, kind, parent, bytes, full_bytes) "
-                        "VALUES (?, 'base', NULL, ?, ?)",
-                        (record_hash, len(blob), len(blob)),
-                    )
-                    tick = self._tick(conn)
-                    conn.execute(
-                        "INSERT OR REPLACE INTO snapshots (key, "
-                        "kb_fingerprint, rules_fingerprint, variant, "
-                        "core_every, head, applications, atoms, "
-                        "terminated, chain_depth, chain_bytes, "
-                        "fact_count, facts_manifest, last_access) "
-                        "VALUES (?, ?, NULL, ?, ?, ?, ?, ?, ?, 1, ?, "
-                        "NULL, NULL, ?)",
-                        (
-                            key,
-                            kb_fp,
-                            state_obj["variant"],
-                            state_obj["core_every"],
-                            record_hash,
-                            int(state_obj.get("applications", 0)),
-                            len(state_obj.get("instance", [])),
-                            1 if state_obj.get("terminated") else 0,
-                            len(blob),
-                            tick,
-                        ),
-                    )
-                    conn.execute("COMMIT")
-            except Exception:  # noqa: BLE001 - hostile files must not wedge startup
-                pass
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            consumed += 1
-        self.migrated += consumed
-        return consumed
 
     # -- record blobs --------------------------------------------------
 
@@ -673,97 +553,74 @@ class SnapshotStore:
             raise
         return path
 
-    def _read_record(self, record_hash: str) -> dict:
-        """Read and verify one record; raises :class:`_ChainBroken` on
-        any damage (missing file, torn write, content/hash mismatch)."""
+    def _read_state(
+        self, record_hash: str, variant: str, core_every: int
+    ) -> ChaseState:
+        """Read, verify and decode one record into the state of a
+        (*variant*, *core_every*) chase; raises :class:`_DamagedRecord`
+        on any damage (missing file, torn write, content/hash mismatch,
+        undecodable or mismatched state)."""
+        name = record_hash[:12]
         try:
             blob = self._object_path(record_hash).read_bytes()
         except OSError as exc:
-            raise _ChainBroken(f"record {record_hash[:12]} missing") from exc
+            raise _DamagedRecord(f"record {name} missing") from exc
         if hashlib.sha256(blob).hexdigest() != record_hash:
-            raise _ChainBroken(f"record {record_hash[:12]} hash mismatch")
+            raise _DamagedRecord(f"record {name} hash mismatch")
         try:
             payload = json.loads(blob)
-        except ValueError as exc:
-            raise _ChainBroken(f"record {record_hash[:12]} unparseable") from exc
-        if not isinstance(payload, dict) or payload.get("schema") != SNAPSHOT_SCHEMA:
-            raise _ChainBroken(f"record {record_hash[:12]} schema mismatch")
-        return payload
-
-    def _load_chain(self, head: str) -> ChaseState:
-        """Materialize the state at *head*: walk to the base, then
-        replay the deltas oldest-first.  Raises :class:`_ChainBroken`
-        on any damaged or malformed link."""
-        chain = []
-        record_hash: Optional[str] = head
-        for _ in range(self.max_chain_depth + 1):
-            payload = self._read_record(record_hash)
-            chain.append(payload)
-            if payload.get("kind") == "base":
-                break
-            if payload.get("kind") != "delta":
-                raise _ChainBroken(f"record {record_hash[:12]} bad kind")
-            record_hash = payload.get("parent")
-            if not isinstance(record_hash, str):
-                raise _ChainBroken("delta record without parent")
-        else:
-            raise _ChainBroken("chain exceeds depth bound (cycle?)")
-        try:
-            state = chase_state_from_obj(chain[-1]["state"])
-            for payload in reversed(chain[:-1]):
-                state = apply_chase_state_delta(
-                    state, state_delta_from_obj(payload["delta"])
-                )
-        except _ChainBroken:
-            raise
+            if payload.get("schema") != SNAPSHOT_SCHEMA:
+                raise ValueError("schema mismatch")
+            state = chase_state_from_obj(payload["state"])
         except Exception as exc:  # noqa: BLE001 - adversarial payloads raise anything
-            raise _ChainBroken(f"chain decode failed: {exc}") from exc
+            raise _DamagedRecord(f"record {name} undecodable: {exc}") from exc
+        if state.variant != variant or state.core_every != core_every:
+            raise _DamagedRecord(f"record {name} config mismatch")
         return state
 
     def _drop_entry(self, key: str) -> None:
-        """Transactionally forget *key* and any records only it reached;
-        blob files are unlinked after the commit."""
+        """Transactionally forget *key*, and its record unless another
+        entry shares it; the blob file is unlinked after the commit."""
         with self._db() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            self._delete_row(conn, key)
-            dead = self._gc_unreachable(conn)
+            dead = self._delete_row(conn, key)
+            self._gc_rulesets(conn)
             conn.execute("COMMIT")
         self._unlink_blobs(dead)
 
-    @staticmethod
-    def _delete_row(conn: sqlite3.Connection, key: str) -> None:
-        """Delete *key*'s catalog row and its fact rows.  Must run inside
-        an open transaction."""
+    @classmethod
+    def _delete_row(cls, conn: sqlite3.Connection, key: str) -> list:
+        """Delete *key*'s catalog row and its fact rows; returns its
+        record's hash if no other entry shares the record.  Must run
+        inside an open transaction."""
+        row = conn.execute(
+            "SELECT record FROM snapshots WHERE key = ?", (key,)
+        ).fetchone()
         conn.execute("DELETE FROM snapshots WHERE key = ?", (key,))
         conn.execute("DELETE FROM snapshot_facts WHERE key = ?", (key,))
+        if row is None or cls._referenced(conn, row[0]):
+            return []
+        return [row[0]]
 
     @staticmethod
-    def _gc_unreachable(conn: sqlite3.Connection) -> set:
-        """Delete record rows no snapshot chain reaches, and verdict and
-        plan rows of rulesets no snapshot has left; returns the record
-        hashes.  Must run inside an open transaction."""
+    def _referenced(conn: sqlite3.Connection, record_hash: str) -> bool:
+        return (
+            conn.execute(
+                "SELECT 1 FROM snapshots WHERE record = ? LIMIT 1",
+                (record_hash,),
+            ).fetchone()
+            is not None
+        )
+
+    @staticmethod
+    def _gc_rulesets(conn: sqlite3.Connection) -> None:
+        """Delete the verdict and plan rows of rulesets no snapshot has
+        left.  Must run inside an open transaction."""
         for table in ("verdicts", "query_plans"):
             conn.execute(
                 f"DELETE FROM {table} WHERE rules_fingerprint NOT IN "
-                "(SELECT rules_fingerprint FROM snapshots "
-                "WHERE rules_fingerprint IS NOT NULL)"
+                "(SELECT rules_fingerprint FROM snapshots)"
             )
-        parent_of = dict(
-            conn.execute("SELECT hash, parent FROM records").fetchall()
-        )
-        live: set = set()
-        for (head,) in conn.execute("SELECT head FROM snapshots"):
-            record_hash = head
-            while record_hash is not None and record_hash not in live:
-                live.add(record_hash)
-                record_hash = parent_of.get(record_hash)
-        dead = set(parent_of) - live
-        if dead:
-            conn.executemany(
-                "DELETE FROM records WHERE hash = ?",
-                [(item,) for item in dead],
-            )
-        return dead
 
     def _unlink_blobs(self, hashes) -> None:
         for record_hash in hashes:
@@ -777,8 +634,8 @@ class SnapshotStore:
 
         Called after every save; a no-op for unbounded stores.  Each
         round is one catalog transaction: pick the stalest entry (by
-        access counter) other than *protect_key*, drop its row, GC the
-        records only it reached.  Racing evictors are harmless — the
+        access counter) other than *protect_key*, drop its row and the
+        record only it held.  Racing evictors are harmless — the
         transactions serialize.  Saves that leave the store over a
         bound because only the protected entry remains are counted in
         :attr:`eviction_shortfalls`."""
@@ -792,14 +649,12 @@ class SnapshotStore:
                 count = conn.execute(
                     "SELECT COUNT(*) FROM snapshots"
                 ).fetchone()[0]
-                total = conn.execute(
-                    "SELECT COALESCE(SUM(bytes), 0) FROM records"
-                ).fetchone()[0]
                 over_entries = (
                     self.max_entries is not None and count > self.max_entries
                 )
                 over_bytes = (
-                    self.max_bytes is not None and total > self.max_bytes
+                    self.max_bytes is not None
+                    and self._record_bytes(conn) > self.max_bytes
                 )
                 if not (over_entries or over_bytes):
                     conn.execute("COMMIT")
@@ -813,8 +668,8 @@ class SnapshotStore:
                     conn.execute("COMMIT")
                     self.eviction_shortfalls += 1
                     return evicted
-                self._delete_row(conn, victim[0])
-                dead = self._gc_unreachable(conn)
+                dead = self._delete_row(conn, victim[0])
+                self._gc_rulesets(conn)
                 conn.execute("COMMIT")
             self._unlink_blobs(dead)
             evicted += 1
@@ -823,126 +678,64 @@ class SnapshotStore:
 
     # -- save ----------------------------------------------------------
 
-    def save(
-        self,
-        kb: KnowledgeBase,
-        state: ChaseState,
-        parent: Optional[SnapshotEntry] = None,
-    ) -> pathlib.Path:
-        """File *state* under the key for (*kb*, its chase config).
-
-        With *parent* — the :class:`SnapshotEntry` this job resumed
-        from — the save appends a compact delta record to the parent's
-        chain instead of writing a full base, unless the chain budget
-        (:attr:`max_chain_depth` records, :data:`CHAIN_BYTES_FACTOR`
-        × full size bytes) says to re-checkpoint, the delta would not
-        actually be smaller, or the parent record was evicted in the
-        meantime.  Returns the path of the written head record.
-        """
+    def save(self, kb: KnowledgeBase, state: ChaseState) -> pathlib.Path:
+        """File *state* under the key for (*kb*, its chase config), as
+        one record; the key's previous record goes unless another entry
+        shares it.  Returns the path of the written record."""
         started = time.perf_counter()
         now = time.monotonic()
         if now - self._last_tmp_gc >= self.tmp_grace_seconds:
             self._last_tmp_gc = now
             self._gc_orphan_tmp_files(self.tmp_grace_seconds)
         kb_fp = kb_fingerprint(kb)
-        key = _v2_key(state.variant, state.core_every, kb_fp)
-        state_obj = chase_state_to_obj(state)
-        base_blob = _dump_record(
-            {"schema": SNAPSHOT_SCHEMA, "kind": "base", "state": state_obj}
+        key = _key(state.variant, state.core_every, kb_fp)
+        blob = _dump_record(
+            {"schema": SNAPSHOT_SCHEMA, "state": chase_state_to_obj(state)}
         )
-        full_bytes = len(base_blob)
-
-        delta_blob = None
-        if parent is not None and parent.chain_depth < self.max_chain_depth:
-            try:
-                delta = diff_chase_states(parent.state, state)
-            except ValueError:
-                delta = None  # config mismatch: never chain across configs
-            if delta is not None:
-                candidate = _dump_record(
-                    {
-                        "schema": SNAPSHOT_SCHEMA,
-                        "kind": "delta",
-                        "parent": parent.head,
-                        "delta": state_delta_to_obj(delta),
-                    }
-                )
-                within_budget = (
-                    len(candidate) < full_bytes
-                    and parent.chain_bytes + len(candidate)
-                    <= CHAIN_BYTES_FACTOR * full_bytes
-                )
-                if within_budget:
-                    delta_blob = candidate
-
+        record_hash = hashlib.sha256(blob).hexdigest()
+        path = self._write_blob(record_hash, blob)
         manifest = facts_manifest(kb)
-        row_common = (
-            kb_fp,
-            ruleset_fingerprint(kb.rules),
-            state.variant,
-            state.core_every,
-            state.applications,
-            len(state.instance),
-            1 if state.terminated else 0,
-            len(manifest),
-            json.dumps(manifest),
-        )
-
-        def _commit(blob, kind, parent_hash, depth, chain_bytes):
-            record_hash = hashlib.sha256(blob).hexdigest()
-            self._write_blob(record_hash, blob)
-            with self._db() as conn:
-                conn.execute("BEGIN IMMEDIATE")
-                if parent_hash is not None:
-                    still_there = conn.execute(
-                        "SELECT 1 FROM records WHERE hash = ?",
-                        (parent_hash,),
-                    ).fetchone()
-                    if still_there is None:
-                        conn.execute("ROLLBACK")
-                        return None  # parent evicted under us
-                conn.execute(
-                    "INSERT OR IGNORE INTO records "
-                    "(hash, kind, parent, bytes, full_bytes) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (record_hash, kind, parent_hash, len(blob), full_bytes),
-                )
-                tick = self._tick(conn)
-                conn.execute(
-                    "INSERT OR REPLACE INTO snapshots (key, "
-                    "kb_fingerprint, rules_fingerprint, variant, "
-                    "core_every, head, applications, atoms, terminated, "
-                    "chain_depth, chain_bytes, fact_count, "
-                    "facts_manifest, last_access) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (key, *row_common[:4], record_hash, *row_common[4:7],
-                     depth, chain_bytes, *row_common[7:], tick),
-                )
+        rules_fp = ruleset_fingerprint(kb.rules)
+        dead: list = []
+        with self._db() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            previous = conn.execute(
+                "SELECT record FROM snapshots WHERE key = ?", (key,)
+            ).fetchone()
+            tick = self._tick(conn)
+            conn.execute(
+                "INSERT OR REPLACE INTO snapshots (key, kb_fingerprint, "
+                "rules_fingerprint, variant, core_every, record, bytes, "
+                "applications, atoms, terminated, fact_count, last_access) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    key,
+                    kb_fp,
+                    rules_fp,
+                    state.variant,
+                    state.core_every,
+                    record_hash,
+                    len(blob),
+                    state.applications,
+                    len(state.instance),
+                    1 if state.terminated else 0,
+                    len(manifest),
+                    tick,
+                ),
+            )
+            if previous is None:
                 # A key fixes the KB, so its facts never change.
                 conn.executemany(
                     "INSERT OR IGNORE INTO snapshot_facts (line_hash, key) "
                     "VALUES (?, ?)",
                     [(line_hash, key) for line_hash in manifest],
                 )
-                conn.execute("COMMIT")
-            return self._object_path(record_hash)
-
-        path = None
-        chain_depth = 1
-        bytes_saved = 0
-        if delta_blob is not None:
-            path = _commit(
-                delta_blob,
-                "delta",
-                parent.head,
-                parent.chain_depth + 1,
-                parent.chain_bytes + len(delta_blob),
-            )
-            if path is not None:
-                chain_depth = parent.chain_depth + 1
-                bytes_saved = full_bytes - len(delta_blob)
-        if path is None:
-            path = _commit(base_blob, "base", None, 1, full_bytes)
+            elif previous[0] != record_hash and not self._referenced(
+                conn, previous[0]
+            ):
+                dead.append(previous[0])
+            conn.execute("COMMIT")
+        self._unlink_blobs(dead)
         self._evict_lru(protect_key=key)
         observer = _observer_state.current
         if observer is not None:
@@ -952,8 +745,6 @@ class SnapshotStore:
                 hit=True,
                 atoms=len(state.instance),
                 seconds=time.perf_counter() - started,
-                chain_depth=chain_depth,
-                bytes_saved=bytes_saved,
             )
         return path
 
@@ -964,47 +755,32 @@ class SnapshotStore:
     ) -> Optional[SnapshotEntry]:
         """The stored entry for (*kb*, *variant*, *core_every*), or None.
 
-        Misses, fingerprint/config mismatches, and damaged chains all
-        come back as None; a damaged chain is dropped transactionally
-        (``snapshot.chain_broken``) so it is paid for only once."""
+        Misses, fingerprint/config mismatches, and damaged records all
+        come back as None; a damaged record's entry is dropped
+        transactionally (``snapshot.corrupt``) so it is paid for only
+        once."""
         started = time.perf_counter()
         kb_fp = kb_fingerprint(kb)
-        key = _v2_key(variant, core_every, kb_fp)
+        key = _key(variant, core_every, kb_fp)
         with self._db() as conn:
             row = conn.execute(
-                "SELECT head, chain_depth, chain_bytes, kb_fingerprint "
-                "FROM snapshots WHERE key = ?",
+                "SELECT record, kb_fingerprint FROM snapshots WHERE key = ?",
                 (key,),
             ).fetchone()
         entry: Optional[SnapshotEntry] = None
         corrupt = False
         if row is not None:
-            head, chain_depth, chain_bytes, row_fp = row
+            record_hash, row_fp = row
             try:
                 if row_fp != kb_fp:
-                    raise _ChainBroken("catalog fingerprint mismatch")
-                state = self._load_chain(head)
-                if state.variant != variant or state.core_every != core_every:
-                    raise _ChainBroken("snapshot config mismatch")
-                entry = SnapshotEntry(
-                    state=state,
-                    key=key,
-                    head=head,
-                    chain_depth=chain_depth,
-                    chain_bytes=chain_bytes,
-                )
-            except _ChainBroken:
+                    raise _DamagedRecord("catalog fingerprint mismatch")
+                state = self._read_state(record_hash, variant, core_every)
+                entry = SnapshotEntry(state=state, key=key)
+            except _DamagedRecord:
                 corrupt = True
                 self._drop_entry(key)
         if entry is not None:
-            with self._db() as conn:
-                conn.execute("BEGIN IMMEDIATE")
-                tick = self._tick(conn)
-                conn.execute(
-                    "UPDATE snapshots SET last_access = ? WHERE key = ?",
-                    (tick, key),
-                )
-                conn.execute("COMMIT")
+            self._touch(key)
         observer = _observer_state.current
         if observer is not None:
             observer.emit(
@@ -1014,8 +790,6 @@ class SnapshotStore:
                 corrupt=corrupt,
                 atoms=len(entry.state.instance) if entry is not None else 0,
                 seconds=time.perf_counter() - started,
-                chain_depth=entry.chain_depth if entry is not None else 0,
-                chain_broken=corrupt,
             )
         return entry
 
@@ -1023,7 +797,7 @@ class SnapshotStore:
         self, kb: KnowledgeBase, variant: str, core_every: int = 1
     ) -> Optional[ChaseState]:
         """The stored state for (*kb*, *variant*, *core_every*), or
-        None — :meth:`load_entry` without the chain context."""
+        None — :meth:`load_entry` without the catalog context."""
         entry = self.load_entry(kb, variant, core_every)
         return entry.state if entry is not None else None
 
@@ -1134,14 +908,10 @@ class SnapshotStore:
         entities) always qualifies.
         """
         started = time.perf_counter()
-        incoming = {
-            hashlib.sha256(str(atom).encode()).hexdigest()[:16]: atom
-            for atom in kb.facts.sorted_atoms()
-        }
+        incoming = _fact_hashes(kb)
         rules_fp = ruleset_fingerprint(kb.rules)
         query = (
-            "SELECT s.key, s.head, s.chain_depth, s.chain_bytes, "
-            "s.facts_manifest FROM (SELECT key, COUNT(*) AS shared "
+            "SELECT s.key, s.record FROM (SELECT key, COUNT(*) AS shared "
             "FROM snapshot_facts WHERE line_hash IN "
             "(SELECT value FROM json_each(?)) GROUP BY key) AS m "
             # CROSS JOIN keeps the shared-fact keys the outer loop.
@@ -1161,39 +931,35 @@ class SnapshotStore:
             candidates = conn.execute(query, params).fetchall()
 
         observer = _observer_state.current
-        for key, head, chain_depth, chain_bytes, manifest_json in candidates:
-            try:
-                manifest = set(json.loads(manifest_json))
-            except ValueError:
-                continue
+        for key, record_hash in candidates:
+            with self._db() as conn:
+                held = {
+                    line_hash
+                    for (line_hash,) in conn.execute(
+                        "SELECT line_hash FROM snapshot_facts WHERE key = ?",
+                        (key,),
+                    )
+                }
             missing = [
                 atom
                 for line_hash, atom in incoming.items()
-                if line_hash not in manifest
+                if line_hash not in held
             ]
             ancestor_facts = AtomSet(
                 atom
                 for line_hash, atom in incoming.items()
-                if line_hash in manifest
+                if line_hash in held
             )
             missing_vars = AtomSet(missing).variables()
             if missing_vars & ancestor_facts.variables():
                 continue  # shared input nulls: folding may have decoupled them
             try:
-                state = self._load_chain(head)
-                if state.variant != variant or state.core_every != core_every:
-                    raise _ChainBroken("snapshot config mismatch")
-            except _ChainBroken:
+                state = self._read_state(record_hash, variant, core_every)
+            except _DamagedRecord:
                 self._drop_entry(key)
                 if observer is not None:
                     observer.emit(
-                        "snapshot_access",
-                        op="load",
-                        hit=False,
-                        corrupt=True,
-                        seconds=0.0,
-                        chain_depth=0,
-                        chain_broken=True,
+                        "snapshot_access", op="load", hit=False, corrupt=True
                     )
                 continue
             prefix = state.fresh_prefix
@@ -1201,14 +967,7 @@ class SnapshotStore:
                 continue  # could collide with invented nulls
             if missing_vars & state.instance.variables():
                 continue
-            with self._db() as conn:
-                conn.execute("BEGIN IMMEDIATE")
-                tick = self._tick(conn)
-                conn.execute(
-                    "UPDATE snapshots SET last_access = ? WHERE key = ?",
-                    (tick, key),
-                )
-                conn.execute("COMMIT")
+            self._touch(key)
             if observer is not None:
                 observer.emit(
                     "snapshot_access",
@@ -1216,17 +975,10 @@ class SnapshotStore:
                     hit=True,
                     atoms=len(state.instance),
                     seconds=time.perf_counter() - started,
-                    chain_depth=chain_depth,
                     ancestor=True,
                 )
             return SnapshotEntry(
-                state=state,
-                key=key,
-                head=head,
-                chain_depth=chain_depth,
-                chain_bytes=chain_bytes,
-                missing_atoms=missing,
-                ancestor=True,
+                state=state, key=key, missing_atoms=missing, ancestor=True
             )
         if observer is not None:
             observer.emit(

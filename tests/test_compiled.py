@@ -309,17 +309,20 @@ class TestCompiledTriggerIndex:
         """The deep-retraction workload: a staircase core chase folds
         freshly grown fragments every step (CoreMaintainer retractions
         mid-chase), and the semi-naive pool must still equal a
-        from-scratch rescan of the final instance."""
+        from-scratch rescan of the final instance: its active pool is
+        exactly the triggers the rescan finds unsatisfied."""
         engine = ChaseEngine(staircase_kb(), variant=ChaseVariant.CORE)
         result = engine.run(max_steps=12)
         assert result.retractions > 0, "workload must exercise retractions"
         assert isinstance(engine._index, CompiledTriggerIndex)
+        final = result.final_instance
         rescanned = {
             (rule.name, trigger.full_image())
             for rule in engine.kb.rules
-            for trigger in triggers(rule, result.final_instance)
+            for trigger in triggers(rule, final)
+            if not trigger.is_satisfied_in(final)
         }
-        assert set(engine._index._live.keys()) == rescanned
+        assert set(engine._index._pool) == rescanned
 
     def test_core_run_equals_indexed_oracle_after_retractions(self):
         """The compiled core run against the naive reference: same

@@ -406,6 +406,6 @@ class TestRestoreBuildsIndexOnFirstStep:
         assert result.terminated == straight.terminated
         resumed_state = engine.export_state()
         straight_state = straight_engine.export_state()
-        assert resumed_state.ages == straight_state.ages
+        assert resumed_state.active == straight_state.active
         assert resumed_state.applied_keys == straight_state.applied_keys
         assert resumed_state.fresh_count == straight_state.fresh_count

@@ -74,7 +74,8 @@ class TestChaseStateJson:
         assert back.fresh_count == state.fresh_count
         assert back.instance == state.instance
         assert back.applied_keys == state.applied_keys
-        assert back.ages == state.ages
+        assert back.active == state.active
+        assert back.pending == state.pending
         assert back.terminated == state.terminated
         assert back.applications == state.applications
         assert back.applications_since_core == state.applications_since_core
@@ -146,16 +147,14 @@ class TestSnapshotStore:
         # it as broken, not crash or mis-decode.
         import hashlib
 
-        from repro.service.snapshots import _ChainBroken, _dump_record
+        from repro.service.snapshots import _DamagedRecord, _dump_record
 
         store = SnapshotStore(tmp_path)
-        blob = _dump_record(
-            {"schema": SNAPSHOT_SCHEMA + 1, "kind": "base", "state": {}}
-        )
+        blob = _dump_record({"schema": SNAPSHOT_SCHEMA + 1, "state": {}})
         record_hash = hashlib.sha256(blob).hexdigest()
         store._write_blob(record_hash, blob)
-        with pytest.raises(_ChainBroken):
-            store._read_record(record_hash)
+        with pytest.raises(_DamagedRecord):
+            store._read_state(record_hash, "restricted", 1)
 
 
 def _saved(store, make_kb, steps=4, variant="restricted"):
@@ -211,7 +210,6 @@ class TestAdversarialCorruption:
             assert store.load(kb, "restricted", 1) is None
         assert events[-1]["op"] == "load"
         assert events[-1]["corrupt"] and not events[-1]["hit"]
-        assert events[-1]["chain_broken"]
 
 
 class TestStoreHygiene:

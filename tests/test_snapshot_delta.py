@@ -1,35 +1,35 @@
-"""Delta snapshots and incremental re-serving (repro.service.snapshots).
+"""Single-record snapshots and incremental re-serving
+(repro.service.snapshots).
 
 Three load-bearing suites:
 
-* the **delta algebra** — ``diff_chase_states`` / ``apply_chase_state_delta``
-  round-trip every checkpoint field, so a chain of delta records replays
-  to exactly the state a full blob would have stored;
+* **single records** — every save writes one content-addressed record
+  holding the whole state (instance, active triggers with their ages,
+  bookkeeping); a resumed save replaces its key's record, and eviction
+  leaves no record behind that no entry reaches;
 * the **ancestor differential** — on terminating grow-by-k workloads, a
   chase resumed from the nearest ancestor snapshot plus the missing
   facts reaches the *same fixpoint* as a cold chase of the grown KB
   (atom-for-atom equal, same application count), which is what makes
   incremental re-serving sound to ship;
-* the **chaos path** — a corrupt mid-chain record is classified broken
-  (``snapshot.chain_broken``), dropped once, and the store falls back
-  to a clean cold save, never a crash.
+* the **chaos path** — a corrupt record, a broken ancestor record and an
+  older store's files are classified, dropped once, and the store falls
+  back to a clean cold save, never a crash.
 
-The non-terminating paper families (staircase, elevator) appear in the
-delta-chain tests — their checkpoints are the realistic payloads — but
-the differential only asserts fixpoint equality on terminating KBs: two
+The differential only asserts fixpoint equality on terminating KBs: two
 fair schedules of an unbounded chase share no common final instance to
 compare.
 """
 
 import json
+import sqlite3
+import threading
 
 import pytest
 
 from repro import elevator_kb, staircase_kb
 from repro.chase.engine import (
     ChaseEngine,
-    apply_chase_state_delta,
-    diff_chase_states,
     merge_facts_into_state,
     run_chase,
 )
@@ -37,19 +37,19 @@ from repro.kbs.witnesses import transitive_closure_kb, weakly_acyclic_kb
 from repro.logic.atoms import Atom
 from repro.logic.isomorphism import isomorphic
 from repro.logic.kb import KnowledgeBase
-from repro.logic.parser import parse_atoms
+from repro.logic.parser import parse_atoms, parse_rules
 from repro.logic.serialization import dump_kb, load_kb
 from repro.logic.terms import Variable
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import Observer, observing
+from repro.obs.observer import observing
 from repro.obs.tracer import MetricsObserver
+from repro.service.jobs import JobRequest, execute_job
 from repro.service.snapshots import (
     SNAPSHOT_SCHEMA,
     SnapshotStore,
     chase_state_to_obj,
     kb_fingerprint,
-    state_delta_from_obj,
-    state_delta_to_obj,
+    snapshot_key,
 )
 
 
@@ -59,74 +59,6 @@ def grow(kb, extra_fact_lines):
     return load_kb(
         text.replace("[facts]", "[facts]\n" + "\n".join(extra_fact_lines), 1)
     )
-
-
-def _states_equal(a, b):
-    assert a.variant == b.variant
-    assert a.core_every == b.core_every
-    assert a.fresh_prefix == b.fresh_prefix
-    assert a.fresh_count == b.fresh_count
-    assert a.instance == b.instance
-    assert a.applied_keys == b.applied_keys
-    assert a.ages == b.ages
-    assert a.terminated == b.terminated
-    assert a.applications == b.applications
-    assert a.applications_since_core == b.applications_since_core
-    assert a.delta_since_core == b.delta_since_core
-
-
-DELTA_FAMILIES = [
-    ("staircase", staircase_kb, "core", 6, 12),
-    ("staircase", staircase_kb, "restricted", 6, 12),
-    ("elevator", elevator_kb, "core", 5, 10),
-    ("tclosure", lambda: transitive_closure_kb(4), "restricted", 3, 9),
-]
-
-
-class TestStateDelta:
-    @pytest.mark.parametrize(
-        "label, make_kb, variant, cut, total",
-        DELTA_FAMILIES,
-        ids=[f"{f[0]}-{f[2]}" for f in DELTA_FAMILIES],
-    )
-    def test_diff_apply_round_trip(self, label, make_kb, variant, cut, total):
-        engine = ChaseEngine(make_kb(), variant=variant)
-        engine.run(cut)
-        parent = engine.export_state()
-        engine.resume(total - cut)
-        child = engine.export_state()
-        delta = diff_chase_states(parent, child)
-        _states_equal(apply_chase_state_delta(parent, delta), child)
-
-    def test_delta_survives_json(self):
-        engine = ChaseEngine(staircase_kb(), variant="core")
-        engine.run(5)
-        parent = engine.export_state()
-        engine.resume(4)
-        child = engine.export_state()
-        delta = diff_chase_states(parent, child)
-        obj = json.loads(json.dumps(state_delta_to_obj(delta)))
-        back = state_delta_from_obj(obj)
-        _states_equal(apply_chase_state_delta(parent, back), child)
-
-    def test_apply_does_not_mutate_parent(self):
-        engine = ChaseEngine(staircase_kb(), variant="restricted")
-        engine.run(4)
-        parent = engine.export_state()
-        atoms_before = parent.instance.copy()
-        engine.resume(4)
-        delta = diff_chase_states(parent, engine.export_state())
-        apply_chase_state_delta(parent, delta)
-        assert parent.instance == atoms_before
-        assert parent.applications == 4
-
-    def test_config_mismatch_rejected(self):
-        a = ChaseEngine(staircase_kb(), variant="restricted")
-        a.run(3)
-        b = ChaseEngine(staircase_kb(), variant="core")
-        b.run(3)
-        with pytest.raises(ValueError):
-            diff_chase_states(a.export_state(), b.export_state())
 
 
 class TestMergeFacts:
@@ -155,9 +87,24 @@ class TestMergeFacts:
         merged = merge_facts_into_state(state, kb.facts.sorted_atoms())
         assert merged.instance == state.instance
         assert merged.terminated  # nothing new: still a fixpoint
+        assert merged.pending == []
+
+    def test_merge_leaves_the_active_set_and_records_pending_facts(self):
+        kb = transitive_closure_kb(4)
+        engine = ChaseEngine(kb, variant="restricted")
+        engine.run(3)
+        state = engine.export_state()
+        assert state.pending == [] and state.active
+        merged = merge_facts_into_state(state, parse_atoms("e(v4, v5)"))
+        # the stored active set stays; the restored index absorbs the
+        # new fact as one delta at its first step
+        assert merged.active == state.active
+        assert [str(at) for at in merged.pending] == ["e(v4, v5)"]
+        again = merge_facts_into_state(merged, parse_atoms("e(v5, v6)"))
+        assert [str(at) for at in again.pending] == ["e(v4, v5)", "e(v5, v6)"]
 
 
-class TestDeltaChains:
+class TestSingleRecords:
     def _advance(self, store, kb, variant, steps, parent=None):
         engine = ChaseEngine(kb, variant=variant)
         if parent is not None:
@@ -165,67 +112,57 @@ class TestDeltaChains:
             engine.resume(steps)
         else:
             engine.run(steps)
-        store.save(kb, engine.export_state(), parent=parent)
+        store.save(kb, engine.export_state())
         return store.load_entry(kb, variant, 1)
 
-    def test_resumed_save_appends_delta_record(self, tmp_path):
+    def test_resumed_save_replaces_the_record(self, tmp_path):
         kb = staircase_kb()
         store = SnapshotStore(tmp_path)
-        entry = self._advance(store, kb, "core", 5)
-        assert entry.chain_depth == 1
-        entry = self._advance(store, kb, "core", 3, parent=entry)
-        assert entry.chain_depth == 2
-        head = json.loads(store.path_for(entry.key).read_text())
-        assert head["kind"] == "delta"
-        # the replayed chain equals an uninterrupted export
+        first = self._advance(store, kb, "core", 5)
+        first_path = store.path_for(first.key)
+        entry = self._advance(store, kb, "core", 3, parent=first)
+        path = store.path_for(entry.key)
+        assert path != first_path
+        record = json.loads(path.read_bytes())
+        assert set(record) == {"schema", "state"}
+        assert record["schema"] == SNAPSHOT_SCHEMA
+        # one record per snapshot: the replaced one is gone
+        assert list(store.objects.glob("*.json")) == [path]
+        # and it holds exactly what an uninterrupted run exports
         straight = ChaseEngine(kb, variant="core")
         straight.run(8)
-        _states_equal(entry.state, straight.export_state())
+        assert entry.state.instance == straight.export_state().instance
+        assert entry.state.active == straight.export_state().active
+        assert chase_state_to_obj(entry.state) == chase_state_to_obj(
+            straight.export_state()
+        )
 
-    def test_chain_recheckpoints_at_depth_budget(self, tmp_path):
-        kb = staircase_kb()
-        store = SnapshotStore(tmp_path, max_chain_depth=3)
-        entry = self._advance(store, kb, "core", 4)
-        depths = [entry.chain_depth]
-        for _ in range(4):
-            entry = self._advance(store, kb, "core", 2, parent=entry)
-            depths.append(entry.chain_depth)
-        # grows to the budget, then re-checkpoints to a fresh base
-        assert depths[:3] == [1, 2, 3]
-        assert 1 in depths[3:]
-        assert max(depths) <= 3
+    def test_record_keeps_only_the_active_triggers(self, tmp_path):
+        kb = transitive_closure_kb(10)
+        engine = ChaseEngine(kb, variant="restricted")
+        engine.run(20)
+        state = engine.export_state()
+        active = {key for key, _age in state.active}
+        assert active == {
+            ChaseEngine._age_key(tr)
+            for tr in engine._active_triggers(engine.current_instance, set())
+        }
+        assert state.applied_keys == set()
+        # ages: stamped triggers carry their birth step, new ones none
+        assert all(age is None or 1 <= age <= 20 for _key, age in state.active)
 
-    def test_delta_saves_report_bytes_saved(self, tmp_path):
-        events = []
-
-        class Spy(Observer):
-            def emit(self, kind, **fields):
-                if kind == "snapshot_access":
-                    events.append(fields)
-
-        kb = staircase_kb()
-        store = SnapshotStore(tmp_path)
-        with observing(Spy()):
-            entry = self._advance(store, kb, "core", 5)
-            self._advance(store, kb, "core", 2, parent=entry)
-        saves = [e for e in events if e["op"] == "save"]
-        assert saves[0]["bytes_saved"] == 0  # base record
-        assert saves[1]["bytes_saved"] > 0  # delta: smaller than a full blob
-        assert saves[1]["chain_depth"] == 2
-
-    def test_evicting_one_chain_leaves_siblings_loadable(self, tmp_path):
+    def test_evicting_one_entry_leaves_siblings_loadable(self, tmp_path):
         store = SnapshotStore(tmp_path, max_entries=1)
         kb1 = staircase_kb()
         entry = self._advance(store, kb1, "core", 4)
         self._advance(store, kb1, "core", 2, parent=entry)
         kb2 = elevator_kb()
         self._advance(store, kb2, "core", 4)
-        assert store.load(kb1, "core", 1) is None  # evicted, whole chain
+        assert store.load(kb1, "core", 1) is None  # evicted
         assert store.load(kb2, "core", 1) is not None
         assert store.entry_count() == 1
-        # no orphaned record blobs survive the evicted chain
-        live_records = len(list(store.objects.glob("*.json")))
-        assert live_records == store.entry_count() or live_records == 1
+        # no record blob of the evicted entry survives
+        assert len(list(store.objects.glob("*.json"))) == 1
 
 
 #: Terminating grow-by-k families: (label, base KB, new fact lines,
@@ -402,6 +339,36 @@ class TestAncestorResolution:
         assert store.resolve_ancestor(stranger, "restricted", 1) is None
         assert parsed == []
 
+    def test_resolve_trying_several_candidates_parses_no_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        # Three ancestors qualify by their facts; the two nearest share
+        # the input null N1 with the missing facts and are refused
+        # before their records are read.  A candidate's facts come from
+        # its catalog rows, so the one JSON parsed is the record of the
+        # candidate the resolve loads.
+        rules = parse_rules("[R] p(X) -> q(X, Y)")
+        store = SnapshotStore(tmp_path)
+        for facts in ("p(N1), r(a)", "p(N1)", "r(a)"):
+            kb = KnowledgeBase(parse_atoms(facts), rules, name=facts)
+            self._snapshot(store, kb, "restricted", 1)
+        grown = KnowledgeBase(
+            parse_atoms("p(N1), r(a), s(N1)"), rules, name="grown"
+        )
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        entry = store.resolve_ancestor(grown, "restricted", 1)
+        assert entry is not None
+        assert sorted(map(str, entry.missing_atoms)) == ["p(N1)", "s(N1)"]
+        assert len(parsed) == 1
+        assert store.path_for(entry.key).read_bytes() == parsed[0]
+
     def test_fresh_prefix_collision_rejected(self, tmp_path):
         # A delta fact whose null uses the engine's fresh prefix could
         # conflate with an invented null of the resumed derivation.
@@ -458,7 +425,7 @@ class TestAncestorColdDifferential:
 
     def test_incremental_chain_of_growths(self, tmp_path):
         # Grow twice: the second request's nearest ancestor is the
-        # *first grown* KB's snapshot, and its save chains on it.
+        # *first grown* KB's snapshot, saved under its own key.
         kb = transitive_closure_kb(4)
         store = SnapshotStore(tmp_path)
         engine = ChaseEngine(kb, variant="restricted")
@@ -474,7 +441,7 @@ class TestAncestorColdDifferential:
             merge_facts_into_state(entry1.state, entry1.missing_atoms)
         )
         eng1.resume(200)
-        store.save(grown1, eng1.export_state(), parent=entry1)
+        store.save(grown1, eng1.export_state())
         cold1 = run_chase(grown1, variant="restricted", max_steps=200)
         assert eng1.current_instance == cold1.final_instance
 
@@ -491,79 +458,148 @@ class TestAncestorColdDifferential:
         assert eng2.current_instance == cold2.final_instance
 
 
-class TestV1Migration:
-    def _v1_file(self, root, kb, variant="restricted", steps=3):
-        engine = ChaseEngine(kb, variant=variant)
-        engine.run(steps)
-        state_obj = chase_state_to_obj(engine.export_state())
-        payload = {
-            "schema": 1,
-            "kb_fingerprint": kb_fingerprint(kb),
-            "state": state_obj,
-        }
-        path = root / "legacy-entry.json"
-        path.write_text(json.dumps(payload))
-        return path
+#: The catalog tables of the schema-2 store (delta chains), as a store
+#: of that schema created them.
+SCHEMA_2_CATALOG = """
+CREATE TABLE meta (k TEXT PRIMARY KEY, v INTEGER NOT NULL);
+CREATE TABLE records (
+    hash TEXT PRIMARY KEY, kind TEXT NOT NULL, parent TEXT,
+    bytes INTEGER NOT NULL, full_bytes INTEGER NOT NULL
+);
+CREATE TABLE snapshots (
+    key TEXT PRIMARY KEY, kb_fingerprint TEXT NOT NULL,
+    rules_fingerprint TEXT, variant TEXT NOT NULL,
+    core_every INTEGER NOT NULL, head TEXT NOT NULL,
+    applications INTEGER NOT NULL, atoms INTEGER NOT NULL,
+    terminated INTEGER NOT NULL, chain_depth INTEGER NOT NULL,
+    chain_bytes INTEGER NOT NULL, fact_count INTEGER,
+    facts_manifest TEXT, last_access INTEGER NOT NULL
+);
+CREATE TABLE snapshot_facts (
+    line_hash TEXT NOT NULL, key TEXT NOT NULL,
+    PRIMARY KEY (line_hash, key)
+) WITHOUT ROWID;
+CREATE TABLE verdicts (
+    rules_fingerprint TEXT PRIMARY KEY, verdict TEXT NOT NULL,
+    created REAL NOT NULL
+);
+CREATE TABLE query_plans (
+    rules_fingerprint TEXT NOT NULL, query_shape TEXT NOT NULL,
+    plan TEXT NOT NULL, created REAL NOT NULL,
+    PRIMARY KEY (rules_fingerprint, query_shape)
+);
+"""
 
-    def test_v1_snapshot_loads_after_migration(self, tmp_path):
-        kb = staircase_kb()
-        path = self._v1_file(tmp_path, kb)
+
+class TestOldStores:
+    """Snapshots are a cache: a store of an older schema is recreated
+    empty when it opens, its requests miss once and chase cold, and
+    none of its files survive."""
+
+    @staticmethod
+    def _old_store(root, kb):
+        """A schema-2 store holding *kb*'s restricted snapshot as a
+        base record plus a delta record, with a schema-1 file beside
+        it."""
+        objects = root / "objects"
+        objects.mkdir(parents=True)
+        (objects / ("b" * 64 + ".json")).write_text(
+            json.dumps({"schema": 2, "kind": "base", "state": {}})
+        )
+        (objects / ("d" * 64 + ".json")).write_text(
+            json.dumps({"schema": 2, "kind": "delta", "parent": "b" * 64})
+        )
+        (root / "legacy-entry.json").write_text(
+            json.dumps(
+                {"schema": 1, "kb_fingerprint": kb_fingerprint(kb), "state": {}}
+            )
+        )
+        conn = sqlite3.connect(root / "catalog.sqlite")
+        conn.executescript(SCHEMA_2_CATALOG)
+        conn.execute("INSERT INTO meta VALUES ('tick', 7)")
+        conn.execute(
+            "INSERT INTO records VALUES (?, 'base', NULL, 10, 10), "
+            "(?, 'delta', ?, 5, 10)",
+            ("b" * 64, "d" * 64, "b" * 64),
+        )
+        conn.execute(
+            "INSERT INTO snapshots VALUES (?, ?, NULL, 'restricted', 1, ?, "
+            "3, 9, 0, 2, 15, 4, '[]', 7)",
+            ("k" * 64, kb_fingerprint(kb), "d" * 64),
+        )
+        conn.commit()
+        conn.close()
+
+    def test_old_store_opens_misses_and_answers_cold(self, tmp_path):
+        kb = transitive_closure_kb(4)
+        self._old_store(tmp_path, kb)
         store = SnapshotStore(tmp_path)
-        assert store.migrated >= 1
-        assert not path.exists()  # consumed
-        state = store.load(kb, "restricted", 1)
-        assert state is not None
-        assert state.applications == 3
+        assert store.entry_count() == 0
+        assert store.load(kb, "restricted", 1) is None
+        assert list(store.objects.glob("*.json")) == []
+        assert list(tmp_path.glob("*.json")) == []
+        request = JobRequest(op="chase", kb_text=dump_kb(kb), max_steps=50)
+        result = execute_job(request, store)
+        assert result.ok and not result.warm and not result.ancestor
+        cold = run_chase(kb, max_steps=50)
+        assert result.applications == cold.applications
+        # only the cold job's own record is left, and the catalog has it
+        key = snapshot_key(kb, "restricted", 1)
+        assert list(store.objects.glob("*.json")) == [store.path_for(key)]
+        assert execute_job(request, store).warm
+
+    def test_two_stores_open_one_old_catalog(self, tmp_path):
+        kb = transitive_closure_kb(4)
+        self._old_store(tmp_path, kb)
+        errors = []
+        stores = []
+
+        def open_store():
+            try:
+                stores.append(SnapshotStore(tmp_path))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_store) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == [] and len(stores) == 2
+        assert all(store.entry_count() == 0 for store in stores)
+        assert list(tmp_path.rglob("*.json")) == []
 
     def test_corrupt_v1_file_discarded_quietly(self, tmp_path):
         (tmp_path / "junk.json").write_text("{ not a snapshot")
         store = SnapshotStore(tmp_path)
-        assert store.migrated >= 1
         assert not (tmp_path / "junk.json").exists()
         assert store.entry_count() == 0
 
-    def test_migrated_entry_is_not_an_ancestor_candidate(self, tmp_path):
-        # v1 payloads carry no KB text, so no facts manifest can be
-        # recomputed: exact hits work, ancestor candidacy returns only
-        # after the entry's next (v2) save.
-        kb = transitive_closure_kb(5)
-        self._v1_file(tmp_path, kb, steps=4)
-        store = SnapshotStore(tmp_path)
-        assert store.load(kb, "restricted", 1) is not None
-        grown = grow(kb, ["e(v5, v6)"])
-        assert store.resolve_ancestor(grown, "restricted", 1) is None
-        # a fresh save fills the manifest in
-        engine = ChaseEngine(kb, variant="restricted")
-        engine.run(4)
-        store.save(kb, engine.export_state())
-        assert store.resolve_ancestor(grown, "restricted", 1) is not None
-
-
-class TestChainCorruptionChaos:
-    def _chained(self, store, kb, variant="core"):
-        engine = ChaseEngine(kb, variant=variant)
-        engine.run(5)
-        store.save(kb, engine.export_state())
-        entry = store.load_entry(kb, variant, 1)
-        engine.resume(3)
-        store.save(kb, engine.export_state(), parent=entry)
-        return store.load_entry(kb, variant, 1)
-
-    def test_corrupt_mid_chain_record_falls_back_cold(self, tmp_path):
+    def test_current_store_reopens_intact(self, tmp_path):
         kb = staircase_kb()
         store = SnapshotStore(tmp_path)
-        entry = self._chained(store, kb)
-        assert entry.chain_depth == 2
-        head = json.loads(store.path_for(entry.key).read_text())
-        base_blob = store._object_path(head["parent"])
-        base_blob.write_text("\x00 torn base record \x00")
+        engine = ChaseEngine(kb, variant="core")
+        engine.run(4)
+        store.save(kb, engine.export_state())
+        reopened = SnapshotStore(tmp_path)
+        assert reopened.load(kb, "core", 1) is not None
+
+
+class TestRecordCorruptionChaos:
+    def test_corrupt_record_falls_back_cold(self, tmp_path):
+        kb = staircase_kb()
+        store = SnapshotStore(tmp_path)
+        engine = ChaseEngine(kb, variant="core")
+        engine.run(5)
+        path = store.save(kb, engine.export_state())
+        path.write_text("\x00 torn record \x00")
 
         registry = MetricsRegistry()
         with observing(MetricsObserver(registry)):
-            assert store.load(kb, "core", 1) is None  # broken chain: miss
-        assert registry.counter("snapshot.chain_broken").value == 1
+            assert store.load(kb, "core", 1) is None  # damaged: a miss
         assert registry.counter("snapshot.corrupt").value == 1
         assert store.entry_count() == 0  # dropped transactionally
+        assert not path.exists()
 
         # the store recovers: a cold save works and loads cleanly
         engine = ChaseEngine(kb, variant="core")
@@ -571,7 +607,7 @@ class TestChainCorruptionChaos:
         store.save(kb, engine.export_state())
         assert store.load(kb, "core", 1) is not None
 
-    def test_broken_ancestor_chain_skipped(self, tmp_path):
+    def test_broken_ancestor_record_skipped(self, tmp_path):
         kb = transitive_closure_kb(5)
         store = SnapshotStore(tmp_path)
         engine = ChaseEngine(kb, variant="restricted")
@@ -585,7 +621,7 @@ class TestChainCorruptionChaos:
         registry = MetricsRegistry()
         with observing(MetricsObserver(registry)):
             assert store.resolve_ancestor(grown, "restricted", 1) is None
-        assert registry.counter("snapshot.chain_broken").value == 1
+        assert registry.counter("snapshot.corrupt").value == 1
         assert store.entry_count() == 0
 
 
@@ -594,9 +630,9 @@ class TestDeltaSinceCoreAcrossSymbolReset:
         self, tmp_path
     ):
         """A checkpoint cut mid-way through a core cadence carries a
-        non-empty ``delta_since_core``; stored as a delta chain and
-        restored after a symbol-table reset (a fresh process), it must
-        resume to the same instance as an uninterrupted run."""
+        non-empty ``delta_since_core``; stored, re-saved after a resume
+        and restored after a symbol-table reset (a fresh process), it
+        must resume to the same instance as an uninterrupted run."""
         from repro.logic.compiled.interner import reset_symbol_table
 
         kb = staircase_kb()
@@ -610,7 +646,8 @@ class TestDeltaSinceCoreAcrossSymbolReset:
         engine.resume(2)  # 7 applications: mid-cadence (7 % 3 != 0)
         cut_state = engine.export_state()
         assert cut_state.delta_since_core  # the satellite's premise
-        store.save(kb, cut_state, parent=entry)
+        assert entry is not None
+        store.save(kb, cut_state)
 
         # A fresh process: new interner codes, nothing shared.
         reset_symbol_table()
@@ -627,7 +664,8 @@ class TestDeltaSinceCoreAcrossSymbolReset:
 
 
 class TestSchemaConstant:
-    def test_schema_is_two(self):
-        # The content-addressed delta layout is schema 2; bumping it
-        # orphans these chains by key, so it must be deliberate.
-        assert SNAPSHOT_SCHEMA == 2
+    def test_schema_is_three(self):
+        # One record per snapshot, holding the active triggers, is
+        # schema 3; bumping it orphans every stored entry by key (and
+        # recreates the catalog), so it must be deliberate.
+        assert SNAPSHOT_SCHEMA == 3

@@ -26,43 +26,45 @@ def rescan(rules, instance):
     }
 
 
-def rescan_satisfied(rules, instance):
+def rescan_unsatisfied(rules, instance):
+    """The active pool of the restricted/frugal/core variants."""
     return {
         TriggerIndex.key(trigger)
         for rule in rules
         for trigger in triggers(rule, instance)
-        if trigger.is_satisfied_in(instance)
+        if not trigger.is_satisfied_in(instance)
     }
 
 
 def pool_mismatches(index, rules, instance):
-    """How the maintained pool differs from a rescan of *instance*: the
-    live keys, the satisfied keys, and the active pool — the keys of
-    ``unsatisfied_triggers()``, which must be the live keys a rescan
-    finds unsatisfied, in ``_live`` order."""
+    """How the maintained pool differs from a rescan of *instance*.  A
+    tracked pool (restricted, frugal, core) must hold exactly the
+    triggers the rescan finds unsatisfied, an untracked one (the
+    oblivious variants) every trigger; ``unsatisfied_triggers()`` reads
+    the pool in order, each trigger under its own key."""
     found = []
-    if set(index._live.keys()) != rescan(rules, instance):
-        found.append("live")
     if index.track_satisfaction:
-        satisfied = rescan_satisfied(rules, instance)
-        if index._satisfied != satisfied:
-            found.append("satisfied")
-        expected = [key for key in index._live if key not in satisfied]
-        active = [TriggerIndex.key(tr) for tr in index.unsatisfied_triggers()]
-        if active != expected:
-            found.append("unsatisfied")
+        expected = rescan_unsatisfied(rules, instance)
+    else:
+        expected = rescan(rules, instance)
+    if set(index._pool) != expected:
+        found.append("pool")
+    keys = [TriggerIndex.key(tr) for tr in index.unsatisfied_triggers()]
+    if keys != list(index._pool):
+        found.append("keys")
     return found
 
 
 def grow(index, instance, delta_text):
-    """Add the atoms of *delta_text* to *instance*, let *index* absorb
-    them, and return the triggers ``apply_delta`` added to the pool."""
-    before = set(index._live)
+    """Add the atoms of *delta_text* to *instance*, let *index* (an
+    untracked one, which keeps every trigger) absorb them, and return
+    the triggers ``apply_delta`` added to the pool."""
+    before = set(index._pool)
     delta = list(parse_atoms(delta_text))
     for at in delta:
         instance.add(at)
     stats = index.apply_delta(instance, delta)
-    added = [trigger for key, trigger in index._live.items() if key not in before]
+    added = [trigger for key, trigger in index._pool.items() if key not in before]
     assert stats["triggers_new"] == len(added)
     return added
 
@@ -76,7 +78,7 @@ class TestTriggersFromDelta:
         rule = rules[0]
         instance = parse_atoms("e(a, b), e(b, c)").copy()
         old = {tr.mapping for tr in triggers(rule, instance)}
-        index = CompiledTriggerIndex(rules, instance)
+        index = CompiledTriggerIndex(rules, instance, track_satisfaction=False)
         from_delta = {tr.mapping for tr in grow(index, instance, "e(c, d)")}
         rescanned = {tr.mapping for tr in triggers(rule, instance)}
         assert old | from_delta == rescanned
@@ -85,7 +87,7 @@ class TestTriggersFromDelta:
     def test_repeated_variable_unification_respects_equality(self):
         rules = parse_rules("[R] e(X, X) -> p(X, X)")
         instance = parse_atoms("e(a, b)").copy()
-        index = CompiledTriggerIndex(rules, instance)
+        index = CompiledTriggerIndex(rules, instance, track_satisfaction=False)
         assert len(index) == 0
         found = grow(index, instance, "e(c, c)")
         assert len(found) == 1
@@ -198,33 +200,53 @@ class TestTriggerIndexMaintenance:
         assert counts.rechecks <= 2 * counts.new
 
     def test_transport_collapse_adopts_the_counterpart_satisfaction(self):
-        """Folding an unsatisfied trigger's frontier onto better-served
-        terms collapses it onto its (satisfied) counterpart; the
-        transported pool must mark it satisfied, exactly as a from-
-        scratch recomputation would."""
+        """Folding an active trigger's frontier onto better-served terms
+        collapses it onto its satisfied counterpart: the moved trigger
+        must leave the pool, exactly as a from-scratch recomputation
+        would find, with no satisfaction test."""
         rules = parse_rules("[R] p(X) -> q(X, Y)")
         rule = rules[0]
         instance = parse_atoms("p(N1), p(b), q(b, c)").copy()
         index = CompiledTriggerIndex([rule], instance, track_satisfaction=True)
-        assert len(index) == 2
-        assert len(index.unsatisfied_triggers()) == 1  # the N1 trigger
+        assert len(index) == 1  # the N1 trigger; the b one is satisfied
         n1 = next(iter(parse_atoms("p(N1)").variables()))
         b = next(iter(parse_atoms("p(b)").constants()))
         sigma = Substitution({n1: b})
         retracted = sigma.apply(instance)
         stats = index.transport(sigma)
-        assert stats["transported"] == 2
+        assert stats["transported"] == 1
         assert stats["collapsed"] == 1
         assert pool_mismatches(index, [rule], retracted) == []
         assert index.unsatisfied_triggers() == []
+
+    def test_transport_keeps_the_active_triggers_it_does_not_move(self):
+        """A trigger the retraction fixes stays active, in place, and a
+        moved one folding onto it leaves the pool."""
+        rules = parse_rules("[R] p(X, Y) -> q(X, Z)")
+        rule = rules[0]
+        instance = parse_atoms("p(a, N1), p(a, b), p(c, b)").copy()
+        index = CompiledTriggerIndex([rule], instance)
+        assert len(index) == 3
+        n1 = next(iter(parse_atoms("p(N1)").variables()))
+        b = next(iter(parse_atoms("p(b)").constants()))
+        sigma = Substitution({n1: b})
+        kept = [
+            TriggerIndex.key(tr)
+            for tr in index.unsatisfied_triggers()
+            if n1 not in tr.mapping.image()
+        ]
+        stats = index.transport(sigma)
+        assert stats == {"transported": 3, "collapsed": 1}
+        assert list(index._pool) == kept
+        assert pool_mismatches(index, [rule], sigma.apply(instance)) == []
 
     def test_apply_delta_matches_manual_application(self):
         kb = random_kb(rule_count=2, fact_count=4, seed=2)
         instance = kb.facts.copy()
         index = CompiledTriggerIndex(kb.rules, instance)
         fresh = FreshVariableSource(prefix="_t")
-        pool = index.live_triggers()
-        assert pool, "seed 2 is known to produce initial triggers"
+        pool = index.unsatisfied_triggers()
+        assert pool, "seed 2 is known to produce active triggers"
         chosen = sorted(pool, key=Trigger.sort_key)[0]
         grown, pi_safe = apply_trigger(instance, chosen, fresh)
         delta = [
