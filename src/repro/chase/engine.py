@@ -44,15 +44,18 @@ as a :class:`ChaseState`; :meth:`ChaseEngine.restore_state` rebuilds a
 fresh engine from one.  The trigger index is built on the first step
 after a restore, seeded from the stored active set instead of
 enumerating the instance, and the facts an ancestor merge injected
-(:func:`merge_facts_into_state`) enter it as one delta; the
-core-maintenance certificates are rebuilt from the instance.  A restore
-whose resume takes no step builds neither.  A restored run continues
-the original derivation exactly: ages carry the absolute birth steps
-via an internal offset, so fair scheduling makes the same choices it
-would have made without the checkpoint, and the restored fresh source
-invents the same nulls.  The service layer (:mod:`repro.service`)
-persists these states as chase snapshots so repeated queries against
-the same KB warm-start instead of re-chasing.
+(:func:`merge_facts_into_state`) enter it as one delta; the core
+maintainer is seeded at the first core step with the instance minus the
+atoms added since the last retraction, the core the uninterrupted run's
+maintainer holds there.  A restore whose resume takes no step builds
+neither.  A restored run continues the original derivation exactly:
+ages carry the absolute birth steps via an internal offset, so fair
+scheduling makes the same choices it would have made without the
+checkpoint, the restored fresh source invents the same nulls, and the
+seeded maintainer keeps the same copy of every retracted fragment.  The
+service layer (:mod:`repro.service`) persists these states as chase
+snapshots so repeated queries against the same KB warm-start instead of
+re-chasing.
 
 ``run``/``resume`` also accept a ``should_stop`` callable, polled once
 per iteration *before* any work for that step begins — the cooperative
@@ -191,10 +194,13 @@ class ChaseState:
     that ``active`` does not account for yet (facts an ancestor merge
     injected); the first resumed step absorbs them as one delta.
     ``applied_keys``, the oblivious memory, is kept only by the
-    oblivious and semi-oblivious variants.  Keys name rules and terms,
-    so a state is meaningful only together with the KB it was exported
-    from; :mod:`repro.service.snapshots` pairs it with a KB fingerprint
-    on disk for exactly that reason.
+    oblivious and semi-oblivious variants.  ``delta_since_core``, kept
+    only by the core variant, lists the atoms added since the last core
+    retraction (applied or merged); the first core step after a restore
+    reads it, seeding the core maintainer with ``instance`` minus them.
+    Keys name rules and terms, so a state is meaningful only together
+    with the KB it was exported from; :mod:`repro.service.snapshots`
+    pairs it with a KB fingerprint on disk for exactly that reason.
     """
 
     variant: str
@@ -429,11 +435,13 @@ class ChaseEngine:
         and core cadence the state was exported under (the KB pairing is
         the caller's responsibility — see
         :mod:`repro.service.snapshots`, which enforces it with a
-        fingerprint).  Derived structures are built on the first step:
-        the trigger index from the state's active set and pending facts,
-        the core certificates from the instance.  A resume that stops
-        before computing an active pool — a zero budget, a restored
-        fixpoint, a query that already holds — never pays for them.
+        fingerprint).  Derived structures are built when first needed:
+        the trigger index on the first step, from the state's active
+        set and pending facts; the core maintainer's stored core on the
+        first core step, as the instance minus ``delta_since_core``.  A
+        resume that stops before computing an active pool — a zero
+        budget, a restored fixpoint, a query that already holds — never
+        pays for them.
         """
         if state.variant != self.variant:
             raise ValueError(
@@ -587,7 +595,7 @@ class ChaseEngine:
             if self.variant in _OBLIVIOUS_VARIANTS:
                 self._applied_keys.add(self._memory_key(chosen))
             delta: list = []
-            if self._index is not None:
+            if self._index is not None or self.variant == ChaseVariant.CORE:
                 seen_delta: set = set()
                 for head_atom in chosen.rule.head.sorted_atoms():
                     atom = pi_safe.apply_atom(head_atom)
@@ -596,19 +604,25 @@ class ChaseEngine:
                         delta.append(atom)
 
             self._applications_since_core += 1
-            if self._maintainer is not None:
+            if self.variant == ChaseVariant.CORE:
                 self._delta_since_core.extend(delta)
             if (
                 self.variant == ChaseVariant.CORE
                 and self._applications_since_core >= self.core_every
             ):
                 if self._maintainer is not None:
+                    if self._maintainer.core is None:
+                        # First core step after a restore: seed the core
+                        # the uninterrupted run's maintainer holds now.
+                        self._maintainer.core = pre_instance.difference(
+                            self._delta_since_core
+                        )
                     sigma = self._maintainer.retract(
                         pre_instance, self._delta_since_core
                     )
-                    self._delta_since_core = []
                 else:
                     sigma = core_retraction(pre_instance)
+                self._delta_since_core = []
                 self._applications_since_core = 0
             elif self.variant == ChaseVariant.FRUGAL:
                 sigma = _frugal_retraction(pre_instance, self._current.terms())

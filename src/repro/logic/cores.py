@@ -99,32 +99,40 @@ def core_retraction(atoms: AtomSet) -> Substitution:
 
 
 def _fold_pass(
-    atoms: AtomSet, _stats: Optional[dict] = None
+    atoms: AtomSet,
+    candidates: Optional[list[Variable]] = None,
+    stats: Optional[dict] = None,
 ) -> tuple[Substitution, AtomSet]:
     """One deterministic pass of variable folds over *atoms*.
 
     Returns ``(total, retract)`` where ``total`` is the raw composition
     of all fold endomorphisms (not yet idempotent) and ``retract`` is its
-    image, a core of *atoms*.  The candidate order is hoisted out of the
-    loop: by downward persistence (module docstring) a variable whose
-    search fails stays unremovable in every later retract, and a variable
-    folded away is simply skipped — no variable is ever searched twice.
+    image.  The candidate order is hoisted out of the loop: by downward
+    persistence (module docstring) a variable whose search fails stays
+    unremovable in every later retract, and a variable folded away is
+    simply skipped — no variable is ever searched twice.  With the
+    default *candidates* (every variable, in :func:`_variable_order`)
+    the retract is a core of *atoms*; the incremental maintainer passes
+    the fresh nulls of a step, then the old variables its scan could
+    not prove.
 
-    ``_stats`` (when a dict) receives ``candidates_tried`` and ``folds``
+    ``stats`` (when a dict) receives ``candidates_tried`` and ``folds``
     increments — the incremental maintainer's telemetry hook.
     """
     current = atoms
     total = Substitution.identity()
-    for var in _variable_order(atoms):
+    if candidates is None:
+        candidates = _variable_order(atoms)
+    for var in candidates:
         if var not in current.variables():
             continue  # folded away by an earlier step
-        if _stats is not None:
-            _stats["candidates_tried"] += 1
+        if stats is not None:
+            stats["candidates_tried"] += 1
         shrink = find_homomorphism(current, current, forbidden_images=[var])
         if shrink is None:
             continue  # unremovable — for good, by downward persistence
-        if _stats is not None:
-            _stats["folds"] += 1
+        if stats is not None:
+            stats["folds"] += 1
         total = shrink.compose(total)
         current = shrink.apply(current)
     return total, current

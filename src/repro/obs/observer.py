@@ -107,8 +107,7 @@ def _core_maintenance(reg, f):
     reg.counter("core.maintained").inc()
     if f["mode"] == "incremental":
         reg.counter("core.incremental").inc()
-    for name in ("skip_hits", "candidates_tried", "seeded_searches",
-                 "pairs_checked", "cert_invalidated"):
+    for name in ("candidates_tried", "pairs_checked"):
         reg.counter(f"core.{name}").inc(f[name])
     if f["clean_broken"]:
         reg.counter("core.clean_broken").inc()
@@ -254,8 +253,7 @@ EVENTS: dict[str, Event] = {
     ),
     "core_maintenance": Event(
         ("mode", "atoms_before", "atoms_after", "folds", "candidates_tried",
-         "skip_hits", "seeded_searches", "pairs_checked", "cert_invalidated",
-         "clean_broken", "seconds"),
+         "pairs_checked", "clean_broken", "seconds"),
         update=_core_maintenance,
     ),
     "homomorphism_search": Event(

@@ -108,12 +108,12 @@ class _Replay(NamedTuple):
     failed: list
 
 
-def _ratio(part: str, *whole: str):
-    """A row source: ``part`` over the sum of ``whole`` in the section,
-    None when that sum is 0."""
+def _ratio(part: str, whole: str):
+    """A row source: ``part`` over ``whole`` in the section, None when
+    ``whole`` is 0."""
 
     def source(section: dict, replay: _Replay):
-        total = sum(section[key] for key in whole)
+        total = section[whole]
         return section[part] / total if total else None
 
     return source
@@ -165,14 +165,9 @@ ROWS = (
     Row("core_maintenance", "calls", "core.maintained", "calls"),
     Row("core_maintenance", "incremental", "core.incremental", "incremental"),
     Row("core_maintenance", "candidates_tried", "core.candidates_tried", "candidates tried"),
-    Row("core_maintenance", "skip_hits", "core.skip_hits", "skip hits"),
-    Row("core_maintenance", "skip_hit_ratio",
-        _ratio("skip_hits", "candidates_tried", "skip_hits"), "skip-hit ratio", 4),
     Row("core_maintenance", "candidates_per_step",
         _ratio("candidates_tried", "calls"), "candidates per step", 2),
-    Row("core_maintenance", "seeded_searches", "core.seeded_searches"),
     Row("core_maintenance", "pairs_checked", "core.pairs_checked", "pairs checked"),
-    Row("core_maintenance", "cert_invalidated", "core.cert_invalidated", "certs invalidated"),
     Row("core_maintenance", "clean_broken", "core.clean_broken"),
     Row("core_maintenance", "seconds", "core.maintenance_time"),
     Row("homomorphism", "searches", "hom.searches", "searches"),
@@ -261,9 +256,9 @@ def summarize_trace(events: Iterable[dict]) -> dict:
     Returns a dict with ``events`` and ``counts`` (events per kind),
     ``traces`` (distinct trace ids seen), and one section per subsystem
     laid out by :data:`ROWS`: ``chase`` (step totals plus the per-step
-    ``series``), ``core``, ``core_maintenance`` (skip-hit ratio,
-    candidates tried per step), ``homomorphism``, ``treewidth``,
-    ``robust``, ``planner``, ``query`` and ``service``, whose headline
+    ``series``), ``core``, ``core_maintenance`` (candidates tried
+    per step), ``homomorphism``, ``treewidth``, ``robust``, ``planner``,
+    ``query`` and ``service``, whose headline
     ``latency_p50/p95/p99`` cover **successful jobs only** (failed and
     retried jobs get ``failed_latency_*`` rows of their own) with a
     per-op ``latency`` breakdown from

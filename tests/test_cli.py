@@ -260,7 +260,7 @@ class TestStatsCommand:
 
     def test_core_maintenance_aggregated(self, trace_file, capsys):
         """``repro stats`` folds the maintainer's per-call telemetry into
-        skip-hit ratio and candidates-per-step aggregates."""
+        candidates-tried, pairs-checked and per-step aggregates."""
         code = main(["stats", trace_file, "--json"])
         summary = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -269,17 +269,43 @@ class TestStatsCommand:
         assert maint["calls"] > 0
         assert maint["incremental"] >= 1
         assert maint["candidates_tried"] >= 0
-        assert maint["skip_hits"] >= 0
-        if maint["skip_hit_ratio"] is not None:
-            assert 0.0 <= maint["skip_hit_ratio"] <= 1.0
+        assert maint["pairs_checked"] >= 0
         assert maint["candidates_per_step"] >= 0
+        assert "skip_hits" not in maint
 
         code = main(["stats", trace_file])
         out = capsys.readouterr().out
         assert code == 0
         assert "core maintenance" in out
-        assert "skip hits" in out
         assert "candidates tried" in out
+        assert "pairs checked" in out
+        assert "skip hits" not in out
+
+    def test_core_maintenance_event_of_the_old_shape_replays(
+        self, tmp_path, capsys
+    ):
+        """A trace written before the maintainer lost its certificates
+        carries ``skip_hits``, ``seeded_searches`` and
+        ``cert_invalidated``; the extra fields are ignored, the rest
+        replays."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({
+            "seq": 0, "t": 0, "kind": "core_maintenance",
+            "mode": "incremental", "atoms_before": 5, "atoms_after": 4,
+            "folds": 1, "candidates_tried": 3, "skip_hits": 2,
+            "seeded_searches": 3, "pairs_checked": 1, "cert_invalidated": 1,
+            "clean_broken": True, "seconds": 0.001,
+        }) + "\n")
+        code = main(["stats", str(path), "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "malformed" not in out
+        maint = json.loads(out)["core_maintenance"]
+        assert maint["calls"] == 1
+        assert maint["incremental"] == 1
+        assert maint["candidates_tried"] == 3
+        assert maint["pairs_checked"] == 1
+        assert maint["clean_broken"] == 1
 
     def test_no_core_maint_trace_has_no_maintenance_events(
         self, kb_file, tmp_path, capsys

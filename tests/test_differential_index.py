@@ -11,7 +11,9 @@ witnesses inside core retractions, so null names can differ.)
 The checkpoint differential holds a restore to the same standard: a
 state exported at step k, sent through JSON and restored resumes to
 exactly the steps of an uninterrupted run, and the index it seeds from
-the stored active set equals one rebuilt from the instance.
+the stored active set equals one rebuilt from the instance.  For the
+core variant that includes the core maintainer, which a restore seeds
+from the instance minus the state's ``delta_since_core``.
 
 Random KBs come from :func:`repro.kbs.generators.random_kb`; hypothesis
 fuzzes the seed and shape (``--hypothesis-seed`` reproduces a CI
@@ -20,7 +22,7 @@ failure locally).
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.chase.compiled_index import CompiledTriggerIndex
@@ -198,15 +200,21 @@ def _same_steps(result, other, skip=0):
     cut=st.integers(min_value=0, max_value=6),
     extra=st.integers(min_value=1, max_value=6),
 )
+@example(
+    # A fresh core maintainer keeps the other of two equivalent copies
+    # here unless the restore seeds it with the checkpoint's core.
+    kb=random_kb(rule_count=1, fact_count=2, term_pool=5, seed=4155),
+    variant=ChaseVariant.CORE,
+    cut=1,
+    extra=1,
+)
 @SETTINGS
 def test_restored_checkpoint_resumes_like_a_straight_run(kb, variant, cut, extra):
     """Export at step *cut*, round-trip through JSON, restore, resume
     *extra* steps: the seeded index equals a rebuilt one after the
-    first step, the steps equal those of the same checkpoint restored
-    with a rebuilt index, and — outside the core variant — those of
-    ``run(cut + extra)``, atom for atom.  A restored core chase starts
-    a fresh core maintainer, which may keep a different one of two
-    equivalent copies of a fragment than the uninterrupted run does."""
+    first step, and the steps equal both those of the same checkpoint
+    restored with a rebuilt index and those of ``run(cut + extra)``,
+    atom for atom."""
     prefix = ChaseEngine(kb, variant=variant)
     prefix.run(max_steps=cut)
     state = prefix.export_state()
@@ -220,13 +228,33 @@ def test_restored_checkpoint_resumes_like_a_straight_run(kb, variant, cut, extra
     assert dict(engine.export_state().active) == dict(
         rebuilt.export_state().active
     )
-    if variant != ChaseVariant.CORE:
-        straight = run_chase(kb, variant=variant, max_steps=cut + extra)
-        done = state.applications
-        assert _same_steps(result, straight, skip=done)
-        assert done + result.applications == straight.applications
-        assert engine.current_instance == straight.final_instance
-        assert result.terminated == straight.terminated
+    straight = run_chase(kb, variant=variant, max_steps=cut + extra)
+    done = state.applications
+    assert _same_steps(result, straight, skip=done)
+    assert done + result.applications == straight.applications
+    assert engine.current_instance == straight.final_instance
+    assert result.terminated == straight.terminated
+
+
+def test_mid_cadence_core_state_records_its_delta_on_both_engines():
+    """Between two retractions a core chase's state lists the atoms
+    added since the last one, on the naive path as on the compiled one:
+    a restore seeds its core maintainer with the instance minus them."""
+    engines = [
+        ChaseEngine(
+            staircase_kb(),
+            variant=ChaseVariant.CORE,
+            core_every=3,
+            use_index=use_index,
+        )
+        for use_index in (True, False)
+    ]
+    for engine in engines:
+        engine.run(max_steps=5)
+    compiled, naive = (engine.export_state() for engine in engines)
+    assert compiled.applications_since_core == 2
+    assert len(compiled.delta_since_core) == 3
+    assert naive.delta_since_core == compiled.delta_since_core
 
 
 class TestSeededRestores:
