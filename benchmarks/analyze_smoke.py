@@ -15,8 +15,8 @@ distinct queries each) sequentially over one connection, asserting:
   (``cache_hits / (cache_hits + verdicts)`` from the stats planner
   section) meets the floor (``--min-cache-ratio``, default 0.9): the
   fleet re-uses each ruleset, so all but the first job per ruleset
-  must be served a cached verdict — through the snapshot catalog when
-  another worker process computed it;
+  must be served a cached verdict — the sequential replay keeps one
+  pool worker busy, and its verdict cache serves every repeat;
 * the ``shutdown`` op stops the server cleanly (exit code 0).
 
 Archives ``results/analyze_smoke.json`` in the bench-table schema.
@@ -60,8 +60,10 @@ def load_requests():
 
 
 async def replay_sequential(port, requests):
-    """One connection, one request in flight at a time — so every
-    verdict a job computes is persisted before the next job looks."""
+    """One connection, one request in flight at a time — so one pool
+    worker runs every job (the pool starts another only when none is
+    idle), and its verdict cache holds each verdict before the next job
+    looks."""
     responses = []
     for line in requests:
         response = (await send_on_connection(port, [line], "route"))[0]

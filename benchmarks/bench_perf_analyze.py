@@ -84,8 +84,7 @@ def _timed_job(request):
 def bench_perf_analyze_table():
     """Archive the planner-routed vs. global-config fleet table."""
     # A cold verdict cache charges the planner side the full analysis
-    # cost for the first job of every ruleset (no store is passed, so
-    # nothing is pre-served from a snapshot catalog either).
+    # cost for the first job of every ruleset (no store is passed).
     default_planner().cache_clear()
     table = Table(
         [

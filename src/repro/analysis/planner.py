@@ -16,10 +16,11 @@ sits.  This module turns that observation into machinery:
   :func:`plan` maps a Verdict to a Strategy deterministically, so the
   same ruleset fingerprint always routes the same way.
 
-* :class:`Planner` — verdict computation with a two-tier cache: an
-  in-process LRU keyed by the canonical ruleset fingerprint, backed by
-  the snapshot catalog (any object with ``load_verdict``/
-  ``save_verdict``) so warm shards skip re-analysis across processes.
+* :class:`Planner` — verdict computation behind an in-process LRU
+  keyed by the canonical ruleset fingerprint.  Nothing persists a
+  verdict: each process computes a ruleset's verdict once, in under a
+  millisecond on the repo's rulesets (docs/PERFORMANCE.md, "One cache
+  tier for verdicts and plans").
 
 Soundness note: a poor route ends "undecided within budget"
 (``ok=True, entailed=None``), never wrong — answers always come from
@@ -111,11 +112,6 @@ class Verdict:
 
     def to_obj(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Verdict":
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in obj.items() if key in known})
 
 
 #: The planner's closed set of strategy names (metrics use them as
@@ -245,10 +241,10 @@ def _chase_ladder(verdict: Verdict) -> Strategy:
 class Planner:
     """Compute, cache, and apply verdicts.
 
-    ``decide(rules, store=...)`` is the single entry point the service
-    uses: it returns ``(verdict, strategy, source)`` where *source* is
-    ``"memory"``, ``"store"``, or ``"computed"``, and emits the
-    ``planner_decision`` observability event.
+    ``decide(rules)`` is the single entry point the service uses: it
+    returns ``(verdict, strategy, source)`` where *source* is
+    ``"memory"`` or ``"computed"``, and emits the ``planner_decision``
+    observability event.
     """
 
     def __init__(self, cache_size: int = 128):
@@ -257,28 +253,16 @@ class Planner:
 
     # ------------------------------------------------------------------
 
-    def analyze(self, rules: RuleSet, store=None) -> tuple[Verdict, str]:
-        """The cached analysis: memory LRU → snapshot catalog → compute."""
+    def analyze(self, rules: RuleSet) -> tuple[Verdict, str]:
+        """The cached analysis: memory LRU, else compute."""
         fingerprint = ruleset_fingerprint(rules)
         cached = self._cache.get(fingerprint)
         if cached is not None:
             self._cache.move_to_end(fingerprint)
             return cached, "memory"
-        if store is not None:
-            persisted = store.load_verdict(fingerprint)
-            if persisted is not None:
-                try:
-                    verdict = Verdict.from_obj(persisted)
-                except TypeError:
-                    pass  # not a verdict: a miss, overwritten below
-                else:
-                    self._remember(fingerprint, verdict)
-                    return verdict, "store"
         with _span("analysis", rules_fingerprint=fingerprint[:16]):
             verdict = self.compute(rules, fingerprint)
         self._remember(fingerprint, verdict)
-        if store is not None:
-            store.save_verdict(fingerprint, verdict.to_obj())
         return verdict, "computed"
 
     def compute(self, rules: RuleSet, fingerprint: Optional[str] = None) -> Verdict:
@@ -298,9 +282,9 @@ class Planner:
             linear_terminating=linear_chase_terminates(rules) if linear else None,
         )
 
-    def decide(self, rules: RuleSet, store=None) -> tuple[Verdict, Strategy, str]:
+    def decide(self, rules: RuleSet) -> tuple[Verdict, Strategy, str]:
         """Analyze (cached) and plan; emits ``planner_decision``."""
-        verdict, source = self.analyze(rules, store=store)
+        verdict, source = self.analyze(rules)
         strategy = plan(verdict)
         observer = _observer_state.current
         if observer is not None:
@@ -326,9 +310,8 @@ class Planner:
         self._cache.clear()
 
 
-#: Process-wide default planner (one per worker process): the in-memory
-#: verdict LRU persists across jobs; the snapshot catalog persists the
-#: verdicts across processes.
+#: Process-wide default planner (one per worker process): its verdict
+#: LRU persists across jobs.
 _default: Optional[Planner] = None
 
 

@@ -254,7 +254,8 @@ class CoreMaintainer:
             return None, True
 
         # The scan runs one endomorphism search per pin against the
-        # *same* source, so the pattern is encoded once and each pinned
+        # *same* source, so the pattern is encoded once, at the first
+        # pin (a step with no pin encodes nothing), and each pinned
         # search runs in int space, testing properness on the live
         # assignment (a proper endomorphism has some variable code
         # outside its own image) — a Substitution is materialized only
@@ -262,10 +263,7 @@ class CoreMaintainer:
         table = _compiled.symbol_table()
         encode_term = table.encode_term
         decode_term = table.decode_term
-        encoded, var_codes = _compiled_plans.source_plan(
-            current, current.sorted_atoms()
-        )
-        view = _compiled.compiled_view(current)
+        view = None
 
         seen_pins: set[Substitution] = set()
         for delta_atom in dirty:
@@ -278,6 +276,11 @@ class CoreMaintainer:
                     continue
                 seen_pins.add(pin)
                 stats["pairs_checked"] += 1
+                if view is None:
+                    encoded, var_codes = _compiled_plans.source_plan(
+                        current, current.sorted_atoms()
+                    )
+                    view = _compiled.compiled_view(current)
                 enumerated = 0
                 seed = {encode_term(v): encode_term(t) for v, t in pin.items()}
                 for assignment in _compiled_plans.run_plan(

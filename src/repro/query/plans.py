@@ -17,11 +17,12 @@ deterministic sorted atom order and sorts the rendered atoms, so equal
 shapes imply alpha-equivalent queries — a shared cache entry is always
 sound; alpha-variants that sort differently merely miss.
 
-Two tiers, like the PR-9 verdict cache: an in-process LRU (plan objects,
-compiled joins warm) in front of a ``query_plans`` table in the snapshot
-catalog (JSON, shared across pool workers and restarts).  Non-rewritable
-rulesets are memoized too — a negative plan spares the fragment check
-and the budgeted saturation on every subsequent request.
+One tier, like the planner's verdict cache: an in-process LRU of plan
+objects, whose compiled joins stay warm.  Nothing persists a plan; a
+process computes each (ruleset, shape) plan once, in a few milliseconds
+on the repo's workloads.  Non-rewritable rulesets are memoized too — a
+negative plan spares the fragment check and the budgeted saturation on
+every subsequent request.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
 from ..obs import observer as _observer_state
 from ..obs.spans import span as _span
-from .cq import ConjunctiveQuery, boolean_cq
+from .cq import ConjunctiveQuery
 from .rewriting import query_shape, rewritable_fragment, rewrite_ucq
 
 __all__ = [
@@ -82,52 +83,17 @@ class CompiledQueryPlan:
             return True
         return False if self.complete else None
 
-    def to_obj(self) -> dict:
-        return {
-            "fragment": self.fragment,
-            "complete": self.complete,
-            "generated": self.generated,
-            "pruned": self.pruned,
-            "disjuncts": [
-                ", ".join(str(a) for a in d.atoms.sorted_atoms())
-                for d in self.disjuncts
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CompiledQueryPlan":
-        """Rebuild a plan from its catalog JSON; raises ValueError on a
-        malformed payload (callers treat that as a cache miss)."""
-        try:
-            disjuncts = tuple(
-                boolean_cq(text) for text in obj.get("disjuncts", ())
-            )
-            return cls(
-                fragment=obj.get("fragment"),
-                complete=bool(obj.get("complete", False)),
-                disjuncts=disjuncts,
-                generated=int(obj.get("generated", 0)),
-                pruned=int(obj.get("pruned", 0)),
-            )
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed query plan payload: {exc}") from exc
-
 
 class QueryPlanCache:
-    """Two-tier plan cache: in-process LRU over the snapshot catalog.
+    """In-process LRU of plans.
 
-    Thread-safe; the store tier is optional (None keeps the cache purely
-    in-process).  Every lookup emits one ``query_rewrite`` observer
-    event carrying its source tier, so `repro stats` can report hit
-    ratios without the cache keeping its own counters.
+    Thread-safe.  Every lookup emits one ``query_rewrite`` observer
+    event carrying its source (``memory`` or ``computed``), so `repro
+    stats` can report hit ratios without the cache keeping its own
+    counters.
     """
 
-    def __init__(
-        self,
-        store=None,
-        memory_limit: int = DEFAULT_MEMORY_LIMIT,
-    ):
-        self.store = store
+    def __init__(self, memory_limit: int = DEFAULT_MEMORY_LIMIT):
         self.memory_limit = memory_limit
         self._memory: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -152,34 +118,18 @@ class QueryPlanCache:
         ``query_rewrite`` event — service jobs pass their per-job
         observer, which in-process executors never install globally.
         """
-        rules_fp = ruleset_fingerprint(kb.rules)
-        shape = query_shape(query.atoms)
-        key = (rules_fp, shape)
+        key = (ruleset_fingerprint(kb.rules), query_shape(query.atoms))
         source = "computed"
-        plan: Optional[CompiledQueryPlan] = None
 
         with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                plan, source = cached, "memory"
-        if plan is None and self.store is not None:
-            payload = self.store.load_query_plan(rules_fp, shape)
-            if payload is not None:
-                try:
-                    plan = CompiledQueryPlan.from_obj(payload)
-                    source = "store"
-                except ValueError:
-                    plan = None
+            plan = self._memory.get(key)
             if plan is not None:
-                with self._lock:
-                    self._remember(key, plan)
+                self._memory.move_to_end(key)
+                source = "memory"
         if plan is None:
             plan = self._compute(kb.rules, query)
             with self._lock:
                 self._remember(key, plan)
-            if self.store is not None:
-                self.store.save_query_plan(rules_fp, shape, plan.to_obj())
 
         if observer is None:
             observer = _observer_state.current
@@ -221,7 +171,7 @@ _DEFAULT: Optional[QueryPlanCache] = None
 
 
 def default_plan_cache() -> QueryPlanCache:
-    """The process-wide plan cache (no store tier until one is bound)."""
+    """The process-wide plan cache every service job uses."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = QueryPlanCache()

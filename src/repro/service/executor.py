@@ -115,9 +115,8 @@ def _worker_store(
 
     The first job that names them opens it and later jobs reuse it, so
     a job pays neither the store's construction nor a fresh catalog
-    connection, and the plan cache's in-process tier (keyed by store)
-    outlives the job.  A failed open is not cached: the next job
-    retries it."""
+    connection.  A failed open is not cached: the next job retries
+    it."""
     if not snapshot_dir:
         return None
     limits = limits or {}

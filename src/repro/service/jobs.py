@@ -16,8 +16,9 @@ entail`` call :func:`~repro.chase.engine.run_chase` and
 without ``--timeout``.)
 
 * **Rewriting first.**  When the resolved strategy says ``rewrite``,
-  each query's cached UCQ plan is evaluated on the base facts; a
-  conclusive plan settles its query with no chase.
+  each query's UCQ plan, from the process's one plan cache
+  (:func:`~repro.query.plans.default_plan_cache`), is evaluated on the
+  base facts; a conclusive plan settles its query with no chase.
 * **One chase for the open queries.**  The chase runs if any query
   is still open (always, for ``chase``); each step's instance is tested
   against every open query, and the run stops once all are settled.
@@ -28,9 +29,9 @@ without ``--timeout``.)
   budget, ancestor-resume eligibility) replaced by the strategy the
   analysis planner derives from the KB's ruleset verdict
   (:meth:`repro.analysis.planner.Planner.decide`, cached by ruleset
-  fingerprint in-process and in the snapshot catalog).  An explicit
-  ``strategy`` dict on the request overrides the planner entirely; it
-  is also how a request opts out of ancestor resume.
+  fingerprint in the process).  An explicit ``strategy`` dict on the
+  request overrides the planner entirely; it is also how a request
+  opts out of ancestor resume.
 * **Warm start.**  With a :class:`~repro.service.snapshots.SnapshotStore`
   attached, the job first tries to restore the checkpointed chase for
   (KB, variant, core cadence) and resume it; since restore continues
@@ -68,7 +69,6 @@ model).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -81,7 +81,7 @@ from ..obs.observer import Observer
 from ..obs.spans import span as _span
 from ..query import boolean_cq
 from ..query.modelfinder import find_countermodel
-from ..query.plans import QueryPlanCache, default_plan_cache
+from ..query.plans import default_plan_cache
 from .deadline import Deadline
 from .snapshots import SnapshotStore
 
@@ -329,29 +329,7 @@ def execute_job(
     return result
 
 
-#: Per-store plan caches: each snapshot store gets one QueryPlanCache
-#: bound to its ``query_plans`` table (the in-process tier lives as long
-#: as the store object); store-less jobs share the process default.
-_PLAN_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _plan_cache_for(store: Optional[SnapshotStore]) -> QueryPlanCache:
-    if store is None:
-        return default_plan_cache()
-    cache = _PLAN_CACHES.get(store)
-    if cache is None:
-        # The value must not reference its weak key, or the store (and
-        # its catalog connection) could never be collected.
-        cache = QueryPlanCache(store=weakref.proxy(store))
-        _PLAN_CACHES[store] = cache
-    return cache
-
-
-def _resolve_strategy(
-    request: JobRequest,
-    kb,
-    store: Optional[SnapshotStore],
-) -> tuple:
+def _resolve_strategy(request: JobRequest, kb) -> tuple:
     """Strategy resolution: an explicit per-request override wins, then
     planner routing (verdict → strategy, cached by ruleset fingerprint),
     then the request's own chase configuration.  Returns ``(strategy,
@@ -362,7 +340,7 @@ def _resolve_strategy(
     if request.strategy is not None:
         reported = Strategy.from_obj(request.strategy)
     elif request.planner:
-        _, reported, _ = default_planner().decide(kb.rules, store=store)
+        _, reported, _ = default_planner().decide(kb.rules)
     if reported is not None:
         strategy = reported
     else:
@@ -460,7 +438,7 @@ def _execute(
     texts = _query_texts(request)
     kb = load_kb(request.kb_text)
     queries = [boolean_cq(text) for text in texts]
-    strategy, reported = _resolve_strategy(request, kb, store)
+    strategy, reported = _resolve_strategy(request, kb)
 
     verdicts: list = [None] * len(queries)
     open_queries = set(range(len(queries)))
@@ -482,7 +460,7 @@ def _execute(
         # conclusive is answered from the base facts with no chase; the
         # rest fall through to the race (incomplete saturation, or a
         # non-rewritable ruleset behind an explicit rewrite=True).
-        plan_cache = _plan_cache_for(store)
+        plan_cache = default_plan_cache()
         for i, query in enumerate(queries):
             qplan = plan_cache.plan_for(kb, query, observer=observer)
             with _span("rewrite_eval", disjuncts=len(qplan.disjuncts)):

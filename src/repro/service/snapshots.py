@@ -21,7 +21,7 @@ where :func:`kb_fingerprint` hashes the canonical text of the facts
 (sorted atoms) and rules.  Editing a fact or a rule changes the
 fingerprint, which changes the key — stale snapshots are never *read*.
 
-Storage format (schema 3)
+Storage format (schema 4)
 -------------------------
 Two pieces under the store root:
 
@@ -40,7 +40,7 @@ Two pieces under the store root:
 
 ``objects/<sha256>.json``
     Content-addressed records, one per snapshot:
-    ``{"schema": 3, "state": ...}`` with the whole serialized state —
+    ``{"schema": 4, "state": ...}`` with the whole serialized state —
     the instance, its active triggers with their ages, and the
     bookkeeping (:func:`chase_state_to_obj`).  A record is verified
     against its name's hash on every read; a damaged one discards its
@@ -107,7 +107,7 @@ __all__ = [
 #: Bump when the on-disk layout changes; old snapshots are then orphaned
 #: (never mis-read) because the schema participates in the key, and a
 #: catalog of another schema is recreated when the store opens.
-SNAPSHOT_SCHEMA = 3
+SNAPSHOT_SCHEMA = 4
 
 PathLike = Union[str, pathlib.Path]
 
@@ -281,18 +281,6 @@ CREATE TABLE snapshot_facts (
     PRIMARY KEY (line_hash, key)
 ) WITHOUT ROWID;
 CREATE INDEX snapshot_facts_by_key ON snapshot_facts (key);
-CREATE TABLE verdicts (
-    rules_fingerprint TEXT PRIMARY KEY,
-    verdict TEXT NOT NULL,
-    created REAL NOT NULL
-);
-CREATE TABLE query_plans (
-    rules_fingerprint TEXT NOT NULL,
-    query_shape TEXT NOT NULL,
-    plan TEXT NOT NULL,
-    created REAL NOT NULL,
-    PRIMARY KEY (rules_fingerprint, query_shape)
-);
 """
 
 
@@ -347,9 +335,8 @@ class SnapshotStore:
       catalog's **monotonic access counter**, bumped inside the same
       transaction as the load or save it records, so eviction order is
       exact even on filesystems with coarse mtimes.  Each eviction
-      deletes the catalog row, its record unless another entry shares
-      it, and the verdict and query-plan rows of rulesets no surviving
-      entry has; it is reported via the ``snapshot_access`` telemetry
+      deletes the catalog row and its record unless another entry
+      shares it; it is reported via the ``snapshot_access`` telemetry
       event (``op="evict"``, the ``snapshot.evicted`` metric).  The
       just-written snapshot is never evicted, even when it alone
       exceeds *max_bytes* — such saves are counted in
@@ -584,7 +571,6 @@ class SnapshotStore:
         with self._db() as conn:
             conn.execute("BEGIN IMMEDIATE")
             dead = self._delete_row(conn, key)
-            self._gc_rulesets(conn)
             conn.execute("COMMIT")
         self._unlink_blobs(dead)
 
@@ -611,16 +597,6 @@ class SnapshotStore:
             ).fetchone()
             is not None
         )
-
-    @staticmethod
-    def _gc_rulesets(conn: sqlite3.Connection) -> None:
-        """Delete the verdict and plan rows of rulesets no snapshot has
-        left.  Must run inside an open transaction."""
-        for table in ("verdicts", "query_plans"):
-            conn.execute(
-                f"DELETE FROM {table} WHERE rules_fingerprint NOT IN "
-                "(SELECT rules_fingerprint FROM snapshots)"
-            )
 
     def _unlink_blobs(self, hashes) -> None:
         for record_hash in hashes:
@@ -669,7 +645,6 @@ class SnapshotStore:
                     self.eviction_shortfalls += 1
                     return evicted
                 dead = self._delete_row(conn, victim[0])
-                self._gc_rulesets(conn)
                 conn.execute("COMMIT")
             self._unlink_blobs(dead)
             evicted += 1
@@ -800,72 +775,6 @@ class SnapshotStore:
         None — :meth:`load_entry` without the catalog context."""
         entry = self.load_entry(kb, variant, core_every)
         return entry.state if entry is not None else None
-
-    # -- analysis verdicts ---------------------------------------------
-
-    def load_verdict(self, rules_fp: str) -> Optional[dict]:
-        """The persisted analysis verdict for a ruleset fingerprint, or
-        None.  Verdicts are pure functions of the rules, so the catalog
-        shares them across workers and restarts; an unparseable row is
-        treated as a miss."""
-        with self._db() as conn:
-            row = conn.execute(
-                "SELECT verdict FROM verdicts WHERE rules_fingerprint = ?",
-                (rules_fp,),
-            ).fetchone()
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def save_verdict(self, rules_fp: str, obj: dict) -> None:
-        """Persist an analysis verdict keyed by ruleset fingerprint.
-        Last writer wins; racing writers computed the same verdict, so
-        the replace is harmless."""
-        with self._db() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO verdicts "
-                "(rules_fingerprint, verdict, created) VALUES (?, ?, ?)",
-                (rules_fp, json.dumps(obj, sort_keys=True), time.time()),
-            )
-
-    # -- compiled query plans ------------------------------------------
-
-    def load_query_plan(self, rules_fp: str, query_shape: str) -> Optional[dict]:
-        """The persisted rewriting plan for a ``(ruleset fingerprint,
-        canonical CQ shape)`` pair, or None.  Plans are pure functions of
-        the two keys, so the catalog shares them across pool workers and
-        restarts; an unparseable row is treated as a miss."""
-        with self._db() as conn:
-            row = conn.execute(
-                "SELECT plan FROM query_plans "
-                "WHERE rules_fingerprint = ? AND query_shape = ?",
-                (rules_fp, query_shape),
-            ).fetchone()
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def save_query_plan(
-        self, rules_fp: str, query_shape: str, obj: dict
-    ) -> None:
-        """Persist a rewriting plan.  Last writer wins; racing writers
-        computed the same deterministic plan, so the replace is
-        harmless."""
-        with self._db() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO query_plans "
-                "(rules_fingerprint, query_shape, plan, created) "
-                "VALUES (?, ?, ?, ?)",
-                (rules_fp, query_shape, json.dumps(obj, sort_keys=True), time.time()),
-            )
 
     # -- ancestor resolution -------------------------------------------
 

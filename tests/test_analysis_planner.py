@@ -100,10 +100,6 @@ def make_verdict(**overrides):
 
 
 class TestVerdictStrategy:
-    def test_verdict_round_trip(self):
-        verdict = make_verdict(linear=True, linear_terminating=False)
-        assert Verdict.from_obj(verdict.to_obj()) == verdict
-
     def test_strategy_round_trip(self):
         strategy = plan(make_verdict(guarded=True))
         assert Strategy.from_obj(strategy.to_obj()) == strategy
@@ -169,15 +165,6 @@ class TestPlannerCache:
         second, source2 = planner.analyze(kb.rules)
         assert (source1, source2) == ("computed", "memory")
         assert first == second
-
-    def test_store_tier_shares_across_planners(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        kb = transitive_closure_kb(3)
-        verdict, source = Planner().analyze(kb.rules, store=store)
-        assert source == "computed"
-        revived, source2 = Planner().analyze(kb.rules, store=store)
-        assert source2 == "store"
-        assert revived == verdict
 
     def test_cache_clear_recomputes(self):
         planner = Planner()
@@ -308,22 +295,6 @@ class TestServiceIntegration:
         assert time.perf_counter() - started < 10
         assert result.ok
         assert result.method == "deadline-expired"
-
-    @pytest.mark.parametrize("partial", [True, False], ids=["partial", "bogus"])
-    def test_catalog_row_that_is_not_a_verdict_is_a_miss(self, tmp_path, partial):
-        store = SnapshotStore(tmp_path / "snaps")
-        kb = transitive_closure_kb(3)
-        fingerprint = ruleset_fingerprint(kb.rules)
-        row = {"rules_fingerprint": fingerprint} if partial else {"bogus": 1}
-        store.save_verdict(fingerprint, row)
-        default_planner().cache_clear()
-        result = execute_job(
-            self.entail_request(kb, "e(v0, v3)", planner=True), store=store
-        )
-        assert result.ok and result.entailed is True
-        # The recompute overwrote the row with a real verdict.
-        revived = Verdict.from_obj(store.load_verdict(fingerprint))
-        assert revived == Planner().compute(kb.rules)
 
     def test_planner_answers_match_plain_config(self, tmp_path):
         kb = transitive_closure_kb(3)

@@ -11,6 +11,8 @@ variable the delta does not touch, and the scan's fallback to the exact
 pass when a pin exceeds its enumeration cap.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +20,14 @@ from repro.chase.engine import ChaseVariant, run_chase
 from repro.kbs.elevator import elevator_kb
 from repro.kbs.generators import random_kb
 from repro.kbs.staircase import staircase_kb
-from repro.logic import coremaint
+from repro.kbs.witnesses import transitive_closure_kb
+from repro.logic import compiled, coremaint
+from repro.logic.compiled import plans
 from repro.logic.coremaint import CoreMaintainer
 from repro.logic.cores import core_of, is_core
 from repro.logic.isomorphism import isomorphic
 from repro.logic.parser import parse_atoms
+from repro.obs.observer import Observer, observing
 
 SETTINGS = settings(
     max_examples=25,
@@ -258,3 +263,53 @@ class TestMaintainerUnit:
         assert maintainer.last_stats["pairs_checked"] == 1
         assert maintainer.last_stats["clean_broken"]
         assert maintainer.last_stats["candidates_tried"] == 2
+
+    def test_scan_encodes_its_source_only_at_a_pin(self, monkeypatch):
+        """Every maintained step of the transitive-5 core chase meets no
+        (old atom, delta atom) pin, its instance being ground, so its
+        escape scans encode nothing; one pin encodes once."""
+        encodes = []
+
+        def spy(real):
+            def counted(*args):
+                encodes.append(real.__name__)
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            coremaint,
+            "_compiled_plans",
+            SimpleNamespace(
+                source_plan=spy(plans.source_plan), run_plan=plans.run_plan
+            ),
+        )
+        monkeypatch.setattr(
+            coremaint,
+            "_compiled",
+            SimpleNamespace(
+                symbol_table=compiled.symbol_table,
+                compiled_view=spy(compiled.compiled_view),
+            ),
+        )
+        steps = []
+
+        class Steps(Observer):
+            def emit(self, kind, **fields):
+                if kind == "core_maintenance":
+                    steps.append(fields)
+
+        with observing(Steps()):
+            run_chase(
+                transitive_closure_kb(5), variant=ChaseVariant.CORE, max_steps=300
+            )
+        assert [s["mode"] for s in steps].count("incremental") >= 9
+        assert sum(s["pairs_checked"] for s in steps) == 0
+        assert encodes == []
+
+        maintainer = CoreMaintainer()
+        maintainer.retract(parse_atoms("e(X, Y)"))
+        pre = parse_atoms("e(X, Y), e(a, b)")
+        maintainer.retract(pre, parse_atoms("e(a, b)").sorted_atoms())
+        assert maintainer.last_stats["pairs_checked"] == 1
+        assert encodes == ["source_plan", "compiled_view"]

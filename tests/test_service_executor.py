@@ -146,8 +146,8 @@ class TestStoreLifetime:
 
     def test_worker_plan_cache_memory_tier_outlives_the_job(self, tmp_path):
         # Regression: every job used to open a new store, and the plan
-        # cache's in-process tier is keyed by store, so a pool worker's
-        # repeated lookups all fell through to the catalog.
+        # cache's in-process tier was then keyed by store, so a pool
+        # worker's repeated lookups all fell through to the catalog.
         request = JobRequest(
             op="entail",
             kb_text=dump_kb(manager_kb()),

@@ -17,17 +17,11 @@ import time
 import pytest
 
 from repro import elevator_kb, staircase_kb
-from repro.analysis.planner import Planner
 from repro.chase.engine import ChaseEngine, run_chase
 from repro.kbs.generators import random_kb
 from repro.logic.isomorphism import isomorphic
-from repro.logic.kb import KnowledgeBase
-from repro.logic.parser import parse_atoms, parse_rule
-from repro.logic.rules import RuleSet
 from repro.logic.serialization import dump_kb, load_kb
 from repro.obs.observer import Observer, observing
-from repro.query.cq import boolean_cq
-from repro.query.plans import QueryPlanCache
 from repro.service.snapshots import (
     SNAPSHOT_SCHEMA,
     SnapshotStore,
@@ -292,26 +286,6 @@ class TestStoreHygiene:
         kb2, _ = _saved(store, elevator_kb)
         assert store.load(kb1, "restricted", 1) is None  # older: evicted
         assert store.load(kb2, "restricted", 1) is not None  # newest: kept
-
-    def test_eviction_drops_verdict_and_plan_rows_of_gone_rulesets(self, tmp_path):
-        store = SnapshotStore(tmp_path, max_entries=1)
-        plans = QueryPlanCache(store=store)
-        for i in range(40):
-            kb = KnowledgeBase(
-                parse_atoms(f"p{i}(a)"), RuleSet([parse_rule(f"p{i}(X) -> q{i}(X, Z)")])
-            )
-            Planner().analyze(kb.rules, store=store)
-            plans.plan_for(kb, boolean_cq(f"q{i}(a, Y)"))
-            _saved(store, lambda: kb, steps=2)
-        conn = sqlite3.connect(tmp_path / "catalog.sqlite")
-        try:
-            counts = [
-                conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("snapshots", "verdicts", "query_plans")
-            ]
-        finally:
-            conn.close()
-        assert counts == [1, 1, 1]
 
     def test_evicted_and_dropped_entries_leave_no_fact_rows(self, tmp_path):
         store = SnapshotStore(tmp_path, max_entries=1)

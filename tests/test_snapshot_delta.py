@@ -21,6 +21,7 @@ fair schedules of an unbounded chase share no common final instance to
 compare.
 """
 
+import hashlib
 import json
 import sqlite3
 import threading
@@ -28,6 +29,7 @@ import threading
 import pytest
 
 from repro import elevator_kb, staircase_kb
+from repro.analysis.planner import ruleset_fingerprint
 from repro.chase.engine import (
     ChaseEngine,
     merge_facts_into_state,
@@ -491,6 +493,35 @@ CREATE TABLE query_plans (
 """
 
 
+#: The catalog tables of the schema-3 store (one record per snapshot,
+#: verdict and query-plan rows beside the snapshots), as a store of that
+#: schema created them.
+SCHEMA_3_CATALOG = """
+CREATE TABLE meta (k TEXT PRIMARY KEY, v INTEGER NOT NULL);
+CREATE TABLE snapshots (
+    key TEXT PRIMARY KEY, kb_fingerprint TEXT NOT NULL,
+    rules_fingerprint TEXT NOT NULL, variant TEXT NOT NULL,
+    core_every INTEGER NOT NULL, record TEXT NOT NULL,
+    bytes INTEGER NOT NULL, applications INTEGER NOT NULL,
+    atoms INTEGER NOT NULL, terminated INTEGER NOT NULL,
+    fact_count INTEGER NOT NULL, last_access INTEGER NOT NULL
+);
+CREATE TABLE snapshot_facts (
+    line_hash TEXT NOT NULL, key TEXT NOT NULL,
+    PRIMARY KEY (line_hash, key)
+) WITHOUT ROWID;
+CREATE TABLE verdicts (
+    rules_fingerprint TEXT PRIMARY KEY, verdict TEXT NOT NULL,
+    created REAL NOT NULL
+);
+CREATE TABLE query_plans (
+    rules_fingerprint TEXT NOT NULL, query_shape TEXT NOT NULL,
+    plan TEXT NOT NULL, created REAL NOT NULL,
+    PRIMARY KEY (rules_fingerprint, query_shape)
+);
+"""
+
+
 class TestOldStores:
     """Snapshots are a cache: a store of an older schema is recreated
     empty when it opens, its requests miss once and chase cold, and
@@ -547,6 +578,64 @@ class TestOldStores:
         key = snapshot_key(kb, "restricted", 1)
         assert list(store.objects.glob("*.json")) == [store.path_for(key)]
         assert execute_job(request, store).warm
+
+    def test_schema_3_store_is_never_read(self, tmp_path):
+        """A schema-3 store opens empty and its record goes, so its
+        requests chase cold.  The record is a mid-cadence core
+        checkpoint with the empty ``delta_since_core`` an older build's
+        naive path wrote; restored, it would seed core maintenance with
+        a non-core instance."""
+        kb = staircase_kb()
+        engine = ChaseEngine(kb, variant="core", core_every=3)
+        engine.run(4)
+        state = chase_state_to_obj(engine.export_state())
+        state["delta_since_core"] = []
+        blob = json.dumps(
+            {"schema": 3, "state": state}, sort_keys=True, separators=(",", ":")
+        ).encode()
+        record = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "objects").mkdir()
+        (tmp_path / "objects" / f"{record}.json").write_bytes(blob)
+        kb_fp = kb_fingerprint(kb)
+        key = hashlib.sha256(f"3|core|3|{kb_fp}".encode()).hexdigest()
+        rules_fp = ruleset_fingerprint(kb.rules)
+        conn = sqlite3.connect(tmp_path / "catalog.sqlite")
+        conn.executescript(SCHEMA_3_CATALOG)
+        conn.execute("INSERT INTO meta VALUES ('schema', 3), ('tick', 1)")
+        conn.execute(
+            "INSERT INTO snapshots VALUES (?, ?, ?, 'core', 3, ?, ?, 4, ?, 0, ?, 1)",
+            (key, kb_fp, rules_fp, record, len(blob), len(state["instance"]),
+             len(kb.facts)),
+        )
+        conn.execute("INSERT INTO verdicts VALUES (?, '{}', 0)", (rules_fp,))
+        conn.execute(
+            "INSERT INTO query_plans VALUES (?, 'shape', '{}', 0)", (rules_fp,)
+        )
+        conn.commit()
+        conn.close()
+
+        store = SnapshotStore(tmp_path)
+        with store._db() as conn:
+            tables = {
+                name
+                for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+        assert tables == {"meta", "snapshots", "snapshot_facts"}
+        assert store.entry_count() == 0
+        assert list(store.objects.glob("*.json")) == []
+        request = JobRequest(
+            op="chase", kb_text=dump_kb(kb), variant="core", core_every=3,
+            max_steps=20,
+        )
+        result = execute_job(request, store)
+        assert result.ok and not result.warm and not result.ancestor
+        cold = run_chase(kb, variant="core", core_every=3, max_steps=20)
+        assert result.applications == cold.applications
+        assert result.instance == [
+            str(at) for at in cold.final_instance.sorted_atoms()
+        ]
 
     def test_two_stores_open_one_old_catalog(self, tmp_path):
         kb = transitive_closure_kb(4)
@@ -664,8 +753,8 @@ class TestDeltaSinceCoreAcrossSymbolReset:
 
 
 class TestSchemaConstant:
-    def test_schema_is_three(self):
-        # One record per snapshot, holding the active triggers, is
-        # schema 3; bumping it orphans every stored entry by key (and
-        # recreates the catalog), so it must be deliberate.
-        assert SNAPSHOT_SCHEMA == 3
+    def test_schema_is_four(self):
+        # A catalog without verdict and query-plan tables is schema 4;
+        # bumping it orphans every stored entry by key (and recreates
+        # the catalog), so it must be deliberate.
+        assert SNAPSHOT_SCHEMA == 4
