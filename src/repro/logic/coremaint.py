@@ -249,7 +249,7 @@ class CoreMaintainer:
         returns always moves a variable of *clean*: the fresh nulls
         left in *current* are already proven unremovable.
         """
-        dirty = [at for at in current.sorted_atoms() if at not in clean]
+        dirty = sorted(at for at in current if at not in clean)
         if not dirty:
             return None, True
 

@@ -7,8 +7,8 @@ exposes them as first-class data instead of burying them in a final
 :class:`~repro.chase.engine.ChaseResult`:
 
 * :mod:`repro.obs.metrics` — a dependency-free registry of counters,
-  gauges, timers and histograms with a process-global default and cheap
-  no-op instruments when disabled;
+  gauges, timers and histograms; there is no process-global one, so a
+  caller that wants metrics makes a registry and observes into it;
 * :mod:`repro.obs.observer` — the :class:`Observer` protocol the hot
   paths (chase engine, core retraction, homomorphism search, exact
   treewidth, robust aggregation) report into through one
@@ -50,8 +50,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     Timer,
-    get_registry,
-    set_registry,
 )
 from .observer import (
     EVENT_KINDS,
@@ -98,7 +96,6 @@ __all__ = [
     "activate",
     "current_context",
     "get_observer",
-    "get_registry",
     "latency_summary",
     "observing",
     "read_trace",
@@ -106,6 +103,5 @@ __all__ = [
     "read_trace_lenient",
     "schema_errors",
     "set_observer",
-    "set_registry",
     "span",
 ]

@@ -9,12 +9,12 @@ timer      count + total/min/max of durations, in seconds
 histogram  count/total/min/max plus geometric bucket counts
 ========== =====================================================
 
-Instruments are handed out by a :class:`MetricsRegistry`; a process-global
-default registry (:func:`get_registry` / :func:`set_registry`) backs the
-CLI ``--metrics`` flag.  A registry can be *disabled*, in which case it
-hands out shared no-op instruments — callers keep their unconditional
-``inc()`` / ``observe()`` calls and pay only a dict lookup at
-instrument-creation time, nothing per update.
+Instruments are handed out by a :class:`MetricsRegistry`, created on
+first use.  There is no process-global registry: whoever wants metrics
+makes one and hands it to a :class:`~repro.obs.MetricsObserver` (the
+CLI ``--metrics`` flag, each service job, the
+:class:`~repro.service.executor.JobExecutor`); code with no registry
+records nothing.
 
 Metric names are dotted paths (``chase.steps``, ``hom.backtracks``);
 :meth:`MetricsRegistry.snapshot` returns plain dicts ready for
@@ -33,8 +33,6 @@ __all__ = [
     "Timer",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 
@@ -259,65 +257,15 @@ class Histogram:
         return f"Histogram({self.name}: {self.count} x, mean={self.mean:.3f})"
 
 
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by disabled registries."""
-
-    __slots__ = ()
-
-    kind = "null"
-    name = ""
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def record(self, seconds: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def merge(self, snap: dict) -> None:
-        pass
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind}
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
-    """A named collection of instruments.
+    """A named collection of instruments."""
 
-    Parameters
-    ----------
-    enabled:
-        When False the registry hands out a shared no-op instrument, so
-        instrumented code needs no conditional around its updates.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._instruments: dict[str, object] = {}
 
     # -- instrument accessors (create-on-first-use) --------------------
 
     def _get(self, name: str, factory, *args):
-        if not self.enabled:
-            return _NULL
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = factory(name, *args)
@@ -345,15 +293,6 @@ class MetricsRegistry:
 
     # -- lifecycle -----------------------------------------------------
 
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Stop handing out live instruments (existing ones keep working
-        for whoever cached them) and drop the recorded values."""
-        self.enabled = False
-        self._instruments.clear()
-
     def reset(self) -> None:
         """Drop all instruments (names and values)."""
         self._instruments.clear()
@@ -364,15 +303,13 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` produced elsewhere into this registry.
 
         This is the parent half of the fork/spawn-safe worker protocol
-        (:mod:`repro.service.executor`): each worker process installs a
-        *fresh* registry (never a handle onto the parent's — under
-        ``spawn`` that handle would not exist, under ``fork`` it would
-        be a dead copy the parent never sees), records into it for the
-        duration of one job, and ships ``registry.snapshot()`` back with
-        the job result; the parent merges it here.  Counters and
-        timers/histograms accumulate, gauges take the incoming value,
-        unknown kinds are skipped.  Merging into a disabled registry is
-        a no-op (the null instrument absorbs everything).
+        (:mod:`repro.service.executor`): each job records into a *fresh*
+        registry (never a handle onto the parent's — under ``spawn``
+        that handle would not exist, under ``fork`` it would be a dead
+        copy the parent never sees) and ships ``registry.snapshot()``
+        back with the job result; the parent merges it here.  Counters
+        and timers/histograms accumulate, gauges take the incoming
+        value, unknown kinds are skipped.
         """
         for name, payload in snapshot.items():
             kind = payload.get("kind")
@@ -384,7 +321,7 @@ class MetricsRegistry:
                 self.timer(name).merge(payload)
             elif kind == "histogram":
                 self.histogram(name, tuple(payload["bounds"])).merge(payload)
-            # "null" / unknown kinds carry no data worth keeping
+            # unknown kinds carry no data worth keeping
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -399,20 +336,3 @@ class MetricsRegistry:
             for name in sorted(self._instruments)
         }
 
-
-#: The process-global default registry.  Disabled out of the box: the
-#: telemetry layer is opt-in (CLI ``--metrics``, benchmark harness).
-_default_registry = MetricsRegistry(enabled=False)
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global default registry."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the process-global registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

@@ -149,16 +149,26 @@ def _service_job(reg, f):
     reg.counter("service.jobs").inc()
     if not f["ok"]:
         reg.counter("service.job_errors").inc()
-    reg.counter("service.warm_hits" if f["warm"] else "service.warm_misses").inc()
+    if f["warm"]:
+        reg.counter("service.warm_hits").inc()
     if f["ancestor"]:
         reg.counter("service.ancestor_resumes").inc()
     if f["incomplete"]:
         reg.counter("service.incomplete").inc()
     if f["deadline_expired"]:
         reg.counter("service.deadline_expired").inc()
+    if f["strategy"] is not None:
+        reg.counter(f"service.strategy.{f['strategy']}").inc()
     reg.counter("service.applications").inc(f["applications"])
-    reg.timer("service.job_seconds").record(f["seconds"])
     reg.histogram("service.job_latency", LATENCY_BOUNDS).observe(f["seconds"])
+
+
+def _service_retry(reg, f):
+    reg.counter("service.retries").inc()
+
+
+def _service_pool_rebuild(reg, f):
+    reg.counter("service.pool_rebuilds").inc()
 
 
 def _planner_decision(reg, f):
@@ -231,9 +241,6 @@ class Event(NamedTuple):
 
 
 #: Every event kind an observer can receive, in trace-summary order.
-#: ``service_retry`` and ``service_pool_rebuild`` feed no metric: the
-#: executor counts ``service.retries`` / ``service.pool_rebuilds`` (and
-#: the ``service.queue_depth`` gauge) into its own registry directly.
 EVENTS: dict[str, Event] = {
     "chase_step_started": Event(
         ("step", "variant", "atoms"), update=_chase_step_started
@@ -274,11 +281,13 @@ EVENTS: dict[str, Event] = {
     "service_job": Event(
         ("op", "ok", "warm", "incomplete", "deadline_expired", "applications",
          "seconds"),
-        {"ancestor": False},
+        {"ancestor": False, "strategy": None},
         update=_service_job,
     ),
-    "service_retry": Event(("op", "attempt", "delay", "error")),
-    "service_pool_rebuild": Event(("pending",)),
+    "service_retry": Event(
+        ("op", "attempt", "delay", "error"), update=_service_retry
+    ),
+    "service_pool_rebuild": Event(("pending",), update=_service_pool_rebuild),
     "planner_decision": Event(
         ("strategy", "cached"),
         {"rules_fingerprint": "", "terminating": False, "bts": False},

@@ -94,8 +94,6 @@ class _Replay(NamedTuple):
     #: Counters and gauges by value, timers and histograms by total;
     #: 0 for a metric the trace never fed.
     metrics: Counter
-    #: Events per kind, every kind of the table included.
-    counts: dict
     series: list
     #: ``(op, warm, ok, seconds)`` per ``service_job`` event.
     jobs: list
@@ -202,10 +200,9 @@ ROWS = (
     Row("service", "warm_hit_ratio", _ratio("warm_hits", "jobs"), "warm-hit ratio", 4),
     Row("service", "incomplete", "service.incomplete", "incomplete"),
     Row("service", "deadline_expired", "service.deadline_expired", "deadline expired"),
-    Row("service", "retries", lambda s, r: r.counts["service_retry"], "retries",
-        shown=("retries",)),
-    Row("service", "pool_rebuilds", lambda s, r: r.counts["service_pool_rebuild"],
-        "pool rebuilds", shown=("pool_rebuilds",)),
+    Row("service", "retries", "service.retries", "retries", shown=("retries",)),
+    Row("service", "pool_rebuilds", "service.pool_rebuilds", "pool rebuilds",
+        shown=("pool_rebuilds",)),
     Row("service", "applications", "service.applications", "applications"),
     Row("service", "seconds", lambda s, r: sum(r.ok) + sum(r.failed)),
     Row("service", "latency_p50", lambda s, r: _percentile(r.ok, 0.50), "latency p50 (s)", 6),
@@ -283,7 +280,6 @@ def summarize_trace(events: Iterable[dict]) -> dict:
         metrics=Counter(
             {name: snap.get("value", snap.get("total")) for name, snap in snapshot.items()}
         ),
-        counts=counts,
         series=retraction_series(events),
         jobs=jobs,
         ok=sorted(seconds for _, _, ok, seconds in jobs if ok),

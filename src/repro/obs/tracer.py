@@ -109,23 +109,22 @@ class MetricsObserver(Observer):
 
 class TracingObserver(MetricsObserver):
     """Emit every event to a :class:`JsonlTracer` (and, optionally, into
-    a metrics registry — pass ``registry=None`` to trace only)."""
+    a metrics registry — given no registry it traces only)."""
 
     __slots__ = ("tracer",)
 
     def __init__(
         self, tracer: JsonlTracer, registry: Optional[MetricsRegistry] = None
     ):
-        # `registry if ... is not None`, not `registry or`: a registry
-        # with no instruments yet is empty and therefore falsy.
-        super().__init__(
-            registry if registry is not None else MetricsRegistry(enabled=False)
-        )
+        super().__init__(registry)
         self.tracer = tracer
 
     def emit(self, kind: str, **fields) -> None:
         self.tracer.emit(kind, **fields)
-        super().emit(kind, **fields)
+        # `is not None`, not truthiness: a registry with no instruments
+        # yet is empty and therefore falsy.
+        if self.registry is not None:
+            super().emit(kind, **fields)
 
 
 def _trace_lines(source: Union[str, IO[str], Iterable[str]]) -> list[str]:

@@ -39,17 +39,16 @@ routine, not fatal:
 
 Metrics protocol (the fork/spawn hazard)
 ----------------------------------------
-The process-global :class:`~repro.obs.MetricsRegistry` must never be
-*shared* with workers: under ``spawn`` the child would start with an
-unrelated fresh module, under ``fork`` it would inherit a dead copy
-whose updates the parent never sees — silently dropped telemetry
-either way.  The protocol here makes worker metrics explicit instead:
+The executor's :class:`~repro.obs.MetricsRegistry` must never be
+*shared* with workers: under ``spawn`` the child would not have it,
+under ``fork`` it would inherit a dead copy whose updates the parent
+never sees — silently dropped telemetry either way.  The protocol here
+makes worker metrics explicit instead:
 
-1. the pool initializer installs a **fresh, enabled** registry in each
-   worker (and clears any inherited process-global observer, so a
-   forked worker cannot scribble into the parent's trace file);
-2. each job resets that registry, runs with a local
-   :class:`~repro.obs.MetricsObserver`, and ships
+1. the pool initializer clears any inherited process-global observer,
+   so a forked worker cannot scribble into the parent's trace file;
+2. each job records into a **fresh** registry through a local
+   :class:`~repro.obs.MetricsObserver` and ships
    ``registry.snapshot()`` back alongside the result;
 3. the parent folds the snapshot into its own registry
    (:meth:`~repro.obs.MetricsRegistry.merge_snapshot`) on completion.
@@ -58,12 +57,16 @@ The pool uses the ``spawn`` start method explicitly so worker state is
 fresh by construction on every platform (and fork-safety hazards with
 the server's event-loop threads never arise).
 
-The parent also keeps the ``service.queue_depth`` gauge current
-(submitted-but-unfinished jobs), counts ``service.retries`` /
-``service.pool_rebuilds``, and reports completions through the
-``service_job`` telemetry event (retries and rebuilds through
-``service_retry`` / ``service_pool_rebuild``), with wall-clock
-latency measured from first submission (queueing and retries included).
+The registry is the one home of every service total.  The parent keeps
+the ``service.queue_depth`` gauge current (submitted-but-unfinished
+jobs) and reports completions, retries and rebuilds through the
+``service_job``, ``service_retry`` and ``service_pool_rebuild`` events,
+with job latency measured from first submission (queueing and retries
+included).  Each total is counted once, by its event's update in
+:data:`~repro.obs.observer.EVENTS`: the events go to the installed
+observer, or, when none is installed, to a
+:class:`~repro.obs.MetricsObserver` on the registry
+(:meth:`JobExecutor.observer`).
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import observer as _observer_state
-from ..obs.metrics import MetricsRegistry, get_registry, set_registry
+from ..obs.metrics import MetricsRegistry
 from ..obs.spans import (
     TraceContext,
     activate,
@@ -103,8 +106,7 @@ __all__ = ["JobExecutor", "RetryPolicy", "is_transient"]
 
 
 def _worker_init() -> None:
-    """Pool initializer: give the worker a clean telemetry slate."""
-    set_registry(MetricsRegistry(enabled=True))
+    """Pool initializer: drop any observer the worker inherited."""
     _observer_state.set_observer(None)
 
 
@@ -170,20 +172,15 @@ def _run_job(
     """Worker-side body: execute one job, return (result, metrics).
 
     Only JSON-able dicts cross the boundary.  The request's trace
-    context (if any) is activated for the whole job.  In a pool worker
-    the process registry is reset and the job observer is installed
-    process-globally for the job's duration, so snapshot accesses and
-    engine events — which report to the global observer — are traced
-    and stamped too.  *in_process* (``workers=0``) records into a
-    private registry instead and must NOT touch the process-global
-    observer: it shares the process with the server's event loop.
-    Events the global observer emits on this thread stay stamped, since
-    context variables are per-thread."""
-    if in_process:
-        registry = MetricsRegistry(enabled=True)
-    else:
-        registry = get_registry()
-        registry.reset()
+    context (if any) is activated for the whole job, and the job records
+    into a fresh registry.  In a pool worker the job observer is
+    installed process-globally for the job's duration, so snapshot
+    accesses and engine events — which report to the global observer —
+    are traced and stamped too.  *in_process* (``workers=0``) must NOT
+    touch the process-global observer: it shares the process with the
+    server's event loop.  Events the global observer emits on this
+    thread stay stamped, since context variables are per-thread."""
+    registry = MetricsRegistry()
     plan = FaultPlan(fault_dir) if fault_dir else None
     fire_worker_faults(plan, in_process=in_process)
     request = JobRequest.from_obj(request_obj)
@@ -312,8 +309,8 @@ class JobExecutor:
         (this one, in the in-process mode) opens the store on its first
         job and keeps it for later jobs.
     registry:
-        Where worker metric snapshots are merged; defaults to the
-        process-global registry.
+        Where every service total is counted and worker metric
+        snapshots are merged; None makes a fresh one.
     retry_policy:
         Backoff/budget for transient executor-level failures; None
         installs the default :class:`RetryPolicy` (2 retries).
@@ -352,7 +349,8 @@ class JobExecutor:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.snapshot_dir = str(snapshot_dir) if snapshot_dir else None
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._metrics = MetricsObserver(self.registry)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.fault_dir = str(fault_dir) if fault_dir else None
         self.trace_dir = str(trace_dir) if trace_dir else None
@@ -366,8 +364,6 @@ class JobExecutor:
         self._pool = self._make_pool()
         self._pending = 0
         self._closed = False
-        self.retries = 0
-        self.pool_rebuilds = 0
         #: backoff timers for jobs awaiting re-submission
         self._retry_timers: dict[
             threading.Timer, tuple[_Job, Future, Optional[TraceContext], float]
@@ -381,6 +377,12 @@ class JobExecutor:
                 initializer=_worker_init,
             )
         return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-job")
+
+    def observer(self):
+        """Where the service events go: the installed observer, or, when
+        none is installed, a metrics observer on :attr:`registry`."""
+        current = _observer_state.current
+        return current if current is not None else self._metrics
 
     # ------------------------------------------------------------------
     # submission
@@ -541,11 +543,8 @@ class JobExecutor:
             self._rebuild_pool(job.pool, job.context)
         if transient and not self._closed and job.attempt < self.retry_policy.max_retries:
             delay = self.retry_policy.delay_for(job.attempt)
-            with self._lock:
-                job.attempt += 1
-                self.retries += 1
-                attempt = job.attempt
-            self.registry.counter("service.retries").inc()
+            job.attempt += 1
+            attempt = job.attempt
             # The backoff wait is itself a child span of the job, so a
             # merged trace shows the gap between attempts as supervised
             # waiting, not dead air; the service_retry event is emitted
@@ -558,19 +557,17 @@ class JobExecutor:
                 delay=round(delay, 6),
                 error=error,
             )
-            observer = _observer_state.current
-            if observer is not None:
-                try:
-                    with activate(backoff_context):
-                        observer.emit(
-                            "service_retry",
-                            op=job.request.op,
-                            attempt=attempt,
-                            delay=delay,
-                            error=error,
-                        )
-                except Exception:  # noqa: BLE001 - observers must not break supervision
-                    pass
+            try:
+                with activate(backoff_context):
+                    self.observer().emit(
+                        "service_retry",
+                        op=job.request.op,
+                        attempt=attempt,
+                        delay=delay,
+                        error=error,
+                    )
+            except Exception:  # noqa: BLE001 - observers must not break supervision
+                pass
             timer = threading.Timer(delay, lambda: self._fire_retry(timer))
             timer.daemon = True
             # _resolve re-acquires self._lock, so only record the decision
@@ -625,18 +622,14 @@ class JobExecutor:
             if self._closed or self._pool is not broken_pool:
                 return
             self._pool = self._make_pool()
-            self.pool_rebuilds += 1
             pending = self._pending
-        self.registry.counter("service.pool_rebuilds").inc()
         rebuild_context = context.child() if context is not None else None
         started = self._span_open(rebuild_context, "pool_rebuild", pending=pending)
-        observer = _observer_state.current
-        if observer is not None:
-            try:
-                with activate(rebuild_context):
-                    observer.emit("service_pool_rebuild", pending=pending)
-            except Exception:  # noqa: BLE001 - observers must not break supervision
-                pass
+        try:
+            with activate(rebuild_context):
+                self.observer().emit("service_pool_rebuild", pending=pending)
+        except Exception:  # noqa: BLE001 - observers must not break supervision
+            pass
         self._span_close(rebuild_context, "pool_rebuild", started)
         if broken_pool is not None:
             broken_pool.shutdown(wait=False)
@@ -658,26 +651,25 @@ class JobExecutor:
             depth = self._pending
         self.registry.gauge("service.queue_depth").set(depth)
         result.seconds = time.perf_counter() - job.submitted
-        observer = _observer_state.current
-        if observer is not None:
-            try:
-                with activate(job.context):
-                    observer.emit(
-                        "service_job",
-                        op=job.request.op,
-                        ok=result.ok,
-                        warm=result.warm,
-                        ancestor=result.ancestor,
-                        incomplete=result.incomplete,
-                        deadline_expired=result.deadline_expired,
-                        applications=result.applications,
-                        seconds=result.seconds,
-                    )
-            except Exception as exc:  # noqa: BLE001 - the client must get a reply
-                result = self._error_result(
-                    job, f"observer failed: {type(exc).__name__}: {exc}"
+        try:
+            with activate(job.context):
+                self.observer().emit(
+                    "service_job",
+                    op=job.request.op,
+                    ok=result.ok,
+                    warm=result.warm,
+                    ancestor=result.ancestor,
+                    incomplete=result.incomplete,
+                    deadline_expired=result.deadline_expired,
+                    applications=result.applications,
+                    seconds=result.seconds,
+                    strategy=result.strategy,
                 )
-                result.seconds = time.perf_counter() - job.submitted
+        except Exception as exc:  # noqa: BLE001 - the client must get a reply
+            result = self._error_result(
+                job, f"observer failed: {type(exc).__name__}: {exc}"
+            )
+            result.seconds = time.perf_counter() - job.submitted
         if job.owns_span:
             job.owns_span = False
             self._span_close(

@@ -15,7 +15,8 @@ batch_entail  ``queries`` list instead of ``query``: many *distinct*
 batch      ``{"op": "batch", "requests": [...]}`` — member requests run
            concurrently, one response with a ``results`` list
 ping       liveness check
-stats      service counters + the metrics-registry snapshot
+stats      service totals, read from the executor's metrics
+           registry, + the registry snapshot
 shutdown   acknowledge, then stop the server gracefully
 ========== ===========================================================
 
@@ -104,7 +105,16 @@ class EntailmentServer:
     their *own* root span carrying ``job_trace_id``/``job_span_id``
     link attributes pointing at the shared job span (a link, not a
     parent: the job belongs to the first request's trace).  With no
-    observer the whole path stays a single ``is not None`` test.
+    observer no span is opened.
+
+    Counting
+    --------
+    Every service total lives in the executor's registry, counted once
+    by its event's update: ``service_request`` here, the rest by the
+    executor, each sent to :meth:`JobExecutor.observer` (the installed
+    observer, or a metrics observer on that registry when none is).  A
+    request answered with an internal error is counted directly, as
+    ``service.request_errors``: no event carries it.
     """
 
     def __init__(
@@ -131,16 +141,6 @@ class EntailmentServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._stop: Optional[asyncio.Event] = None
-        # Server-side counters, kept independently of any installed
-        # observer so the stats op always has answers.
-        self.requests = 0
-        self.coalesced = 0
-        self.jobs = 0
-        self.warm_hits = 0
-        self.ancestor_hits = 0
-        self.errors = 0
-        #: jobs answered per planner strategy name
-        self.strategies: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -236,7 +236,7 @@ class EntailmentServer:
             # written": an exception here used to be swallowed by the
             # connection task's gather(return_exceptions=True) and the
             # client would wait forever for this id.
-            self.errors += 1
+            self._count_request_error()
             response = {
                 "ok": False,
                 "error": f"internal error: {type(exc).__name__}: {exc}",
@@ -332,9 +332,6 @@ class EntailmentServer:
         key = request.dedup_key()
         running = self._inflight.get(key)
         coalesced = running is not None
-        self.requests += 1
-        if coalesced:
-            self.coalesced += 1
         observer = _observer_state.current
         request_context: Optional[TraceContext] = None
         started: Optional[float] = None
@@ -350,8 +347,10 @@ class EntailmentServer:
                     attrs["job_trace_id"] = job_context.trace_id
                     attrs["job_span_id"] = job_context.span_id
             open_span(observer, request_context, "service_request", **attrs)
-            with activate(request_context):
-                observer.emit("service_request", op=request.op, coalesced=coalesced)
+        with activate(request_context):
+            self.executor.observer().emit(
+                "service_request", op=request.op, coalesced=coalesced
+            )
         if not coalesced:
             job_context = None
             if request_context is not None:
@@ -377,7 +376,7 @@ class EntailmentServer:
                 )
             raise  # this waiter was cancelled; the shared job lives on
         except Exception as exc:  # noqa: BLE001 - per-request guarantee
-            self.errors += 1
+            self._count_request_error()
             if request_context is not None:
                 close_span(
                     _observer_state.current,
@@ -445,22 +444,12 @@ class EntailmentServer:
             # The supervised executor resolves rather than raises, but a
             # waiter must get a well-formed result even if submission
             # itself blows up (e.g. an executor shut down under us).
+            self._count_request_error()
             result = JobResult(
                 op=request.op,
                 ok=False,
                 error=f"executor failure: {type(exc).__name__}: {exc}",
             )
-        self.jobs += 1
-        if result.strategy is not None:
-            self.strategies[result.strategy] = (
-                self.strategies.get(result.strategy, 0) + 1
-            )
-        if result.warm:
-            self.warm_hits += 1
-        if result.ancestor:
-            self.ancestor_hits += 1
-        if not result.ok:
-            self.errors += 1
         # Always feed the rolling window (the stats op works with no
         # observer installed); result.seconds is the executor's wall
         # clock from first submission, the same number the service_job
@@ -483,52 +472,56 @@ class EntailmentServer:
     # stats
     # ------------------------------------------------------------------
 
+    def _count_request_error(self) -> None:
+        """Count a request answered with an internal error, not by a job
+        (no event carries it)."""
+        self.registry.counter("service.request_errors").inc()
+
     def stats_payload(self) -> dict:
-        """The stats-op response: server counters, supervision counters,
-        rolling latency percentiles, and the metrics snapshot."""
+        """The stats-op response: the service totals, read from the
+        registry, rolling latency percentiles, and the metrics
+        snapshot."""
         metrics = self.registry.snapshot()
+
+        def count(name: str) -> int:
+            return metrics.get(name, {}).get("value", 0)
+
+        jobs = count("service.jobs")
+        warm_hits = count("service.warm_hits")
+        strategy = "service.strategy."
         return {
             "ok": True,
             "op": "stats",
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "jobs": self.jobs,
-            "warm_hits": self.warm_hits,
-            "warm_hit_ratio": (self.warm_hits / self.jobs) if self.jobs else None,
-            "ancestor_hits": self.ancestor_hits,
-            "errors": self.errors,
-            "retries": self.executor.retries,
-            "pool_rebuilds": self.executor.pool_rebuilds,
-            "snapshots_evicted": metrics.get("snapshot.evicted", {}).get(
-                "value", 0
-            ),
-            "snapshot_ancestor_hits": metrics.get(
-                "snapshot.ancestor_hits", {}
-            ).get("value", 0),
+            "requests": count("service.requests"),
+            "coalesced": count("service.coalesced"),
+            "jobs": jobs,
+            "warm_hits": warm_hits,
+            "warm_hit_ratio": (warm_hits / jobs) if jobs else None,
+            "ancestor_hits": count("service.ancestor_resumes"),
+            "errors": count("service.job_errors") + count("service.request_errors"),
+            "retries": count("service.retries"),
+            "pool_rebuilds": count("service.pool_rebuilds"),
+            "snapshots_evicted": count("snapshot.evicted"),
+            "snapshot_ancestor_hits": count("snapshot.ancestor_hits"),
             "planner": {
                 "enabled": self.planner,
-                "strategies": dict(sorted(self.strategies.items())),
-                "verdicts": metrics.get("planner.verdicts", {}).get(
-                    "value", 0
-                ),
-                "cache_hits": metrics.get("planner.cache_hits", {}).get(
-                    "value", 0
-                ),
+                "strategies": {
+                    name[len(strategy):]: snap["value"]
+                    for name, snap in metrics.items()
+                    if name.startswith(strategy)
+                },
+                "verdicts": count("planner.verdicts"),
+                "cache_hits": count("planner.cache_hits"),
             },
             "query": {
-                "plan_lookups": metrics.get("query.plan_lookups", {}).get(
-                    "value", 0
-                ),
-                "plan_cache_hits": metrics.get(
-                    "query.plan_cache_hits", {}
-                ).get("value", 0),
-                "rewrites": metrics.get("query.rewrites", {}).get("value", 0),
-                "disjuncts_pruned": metrics.get(
-                    "query.disjuncts_pruned", {}
-                ).get("value", 0),
-                "rewrite_fallbacks": metrics.get(
-                    "query.rewrite_fallbacks", {}
-                ).get("value", 0),
+                key: count(f"query.{key}")
+                for key in (
+                    "plan_lookups",
+                    "plan_cache_hits",
+                    "rewrites",
+                    "disjuncts_pruned",
+                    "rewrite_fallbacks",
+                )
             },
             "pending": self.executor.pending,
             "inflight": len(self._inflight),

@@ -130,7 +130,8 @@ def _served_request_with_a_worker_kill(root, trace_dir, registry):
         response = asyncio.run(scenario())
     finally:
         executor.shutdown()
-    assert response["ok"] and executor.pool_rebuilds == 1
+    assert response["ok"]
+    assert registry.counter("service.pool_rebuilds").value == 1
 
 
 @pytest.fixture(scope="module")

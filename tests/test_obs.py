@@ -82,15 +82,6 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
-    def test_disabled_registry_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("c").inc(10)
-        reg.gauge("g").set(3)
-        reg.timer("t").record(1.0)
-        reg.histogram("h").observe(2)
-        assert reg.snapshot() == {}
-        assert len(reg) == 0
-
     def test_empty_registry_is_falsy_but_usable(self):
         # regression guard: TracingObserver must not drop an empty
         # registry just because it is falsy

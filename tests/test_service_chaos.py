@@ -143,10 +143,9 @@ class TestWorkerKillRecovery:
 
         # the kill actually happened, and the supervisor recovered
         assert plan.fired("worker.kill_mid_job") == 1
-        assert executor.pool_rebuilds == 1
-        assert executor.retries >= 1
+        retries = registry.counter("service.retries").value
+        assert retries >= 1
         assert registry.counter("service.pool_rebuilds").value == 1
-        assert registry.counter("service.retries").value == executor.retries
 
         # retried jobs resumed warm from the warm-up snapshot; the one
         # repeating the warm-up query maps into the restored instance
@@ -182,7 +181,7 @@ class TestWorkerKillRecovery:
 
         # live stats carry the supervision counters and the rolling
         # latency summary the dashboard polls
-        assert stats["retries"] == executor.retries
+        assert stats["retries"] == retries
         assert stats["pool_rebuilds"] == 1
         assert stats["latency"]["entail"]["ok"]["count"] == stats["jobs"]
         assert stats["latency_window"]["samples"] == stats["jobs"]
@@ -209,5 +208,6 @@ class TestWorkerKillRecovery:
             ).result(timeout=300)
         assert result.ok and result.entailed is True
         assert result.seconds >= 0.3  # the injected stall is in the latency
-        assert executor.retries == 0 and executor.pool_rebuilds == 0
+        assert "service.retries" not in registry
+        assert "service.pool_rebuilds" not in registry
         assert plan.fired("worker.slow_job") == 1

@@ -100,6 +100,16 @@ class TestInProcessExecutor:
         assert events[1]["warm"]
         assert all(event["seconds"] > 0 for event in events)
 
+    def test_bare_executor_counts_into_its_own_registry(self, tmp_path):
+        # No registry given and no observer installed: the service
+        # events still reach the executor's registry, through its
+        # fallback metrics observer.
+        with JobExecutor(0, snapshot_dir=tmp_path) as ex:
+            ex.submit(entail_request()).result(timeout=60)
+            ex.submit(entail_request()).result(timeout=60)
+        assert ex.registry.counter("service.jobs").value == 2
+        assert ex.registry.counter("service.warm_hits").value == 1
+
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             JobExecutor(-1)
@@ -231,7 +241,6 @@ class TestSupervision:
         ) as ex:
             result = ex.submit(entail_request()).result(timeout=60)
         assert result.ok and result.entailed is True
-        assert ex.retries == 1
         assert registry.counter("service.retries").value == 1
         assert registry.gauge("service.queue_depth").value == 0
         assert plan.fired("worker.kill_mid_job") == 1
@@ -342,21 +351,21 @@ class TestSupervision:
     def test_last_resort_resolution_keeps_gauge_consistent(self, tmp_path):
         # Regression: _resolve_quietly balanced _pending but left the
         # service.queue_depth gauge at its pre-failure value forever.
+        # A policy that raises while the supervisor handles the killed
+        # attempt reaches the last-resort path.
         plan = FaultPlan(tmp_path / "faults")
         plan.arm("worker.kill_mid_job")
 
-        class HostileCounters(MetricsRegistry):
-            def counter(self, name):
-                if name == "service.retries":
-                    raise RuntimeError("counter exploded")
-                return super().counter(name)
+        class HostilePolicy(RetryPolicy):
+            def delay_for(self, attempt):
+                raise RuntimeError("policy exploded")
 
-        registry = HostileCounters()
+        registry = MetricsRegistry()
         with JobExecutor(
             0,
             snapshot_dir=tmp_path / "snaps",
             registry=registry,
-            retry_policy=RetryPolicy(**FAST_RETRY),
+            retry_policy=HostilePolicy(**FAST_RETRY),
             fault_dir=plan.root,
         ) as ex:
             result = ex.submit(entail_request()).result(timeout=60)
@@ -418,8 +427,10 @@ class TestProcessPool:
                     trace_dir=trace_dir,
                 ) as ex:
                     result = ex.submit(entail_request()).result(timeout=300)
-        assert result.ok and ex.pool_rebuilds == 1
+        assert result.ok
         events, _ = read_trace_dir(trace_dir)
+        # a trace-only observer: the rebuild is counted in the trace
+        assert [e["kind"] for e in events].count("service_pool_rebuild") == 1
         closes = [e for e in events if e["kind"] == "span_close"]
         names = {e["name"] for e in closes}
         assert {"job_attempt", "retry_backoff", "pool_rebuild"} <= names

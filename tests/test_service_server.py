@@ -71,6 +71,57 @@ class TestProtocol:
         assert by_id["s"]["ok"] and "metrics" in by_id["s"]
         assert not by_id["u"]["ok"]
 
+    def test_stats_counts_without_an_observer(self, tmp_path):
+        # With no observer installed the service events reach the
+        # executor's registry through its fallback metrics observer, and
+        # the stats op reads every total from there.  The slow_job fuse
+        # holds the first job in flight so its twin coalesces onto it.
+        plan = FaultPlan(tmp_path / "faults")
+        plan.arm("worker.slow_job", payload={"seconds": 0.5})
+        line = {
+            "op": "entail",
+            "kb_text": STAIRCASE,
+            "query": STAIR_QUERY,
+            "max_steps": 60,
+        }
+
+        async def scenario():
+            executor = JobExecutor(
+                0, snapshot_dir=tmp_path / "snaps", fault_dir=plan.root
+            )
+            server = EntailmentServer(executor, port=0)
+            await server.start()
+            task = asyncio.ensure_future(server.serve_until_stopped())
+            dispatch = server._dispatch
+
+            async def explode_on_ping(obj):
+                if obj.get("op") == "ping":
+                    raise RuntimeError("dispatch exploded")
+                return await dispatch(obj)
+
+            server._dispatch = explode_on_ping
+            await request_lines(
+                server.port, [{**line, "id": "r0"}, {**line, "id": "r1"}]
+            )
+            await request_lines(
+                server.port,
+                [
+                    {"op": "chase", "kb_text": "garbage", "id": "bad"},
+                    {"op": "ping", "id": "p"},
+                ],
+            )
+            stats = (await request_lines(server.port, [{"op": "stats"}]))[0]
+            await shut_down(server, executor, task)
+            return stats
+
+        with observing(None):
+            stats = asyncio.run(scenario())
+        assert stats["requests"] == 3
+        assert stats["coalesced"] == 1
+        assert stats["jobs"] == 2
+        # one failed job, one internal error
+        assert stats["errors"] == 2
+
     def test_entail_and_chase_round_trip(self, tmp_path):
         async def scenario():
             server, executor, task = await start_server(tmp_path)
@@ -290,7 +341,7 @@ class TestResponseGuarantee:
             response = (
                 await request_lines(server.port, [{"op": "ping", "id": "d"}])
             )[0]
-            errors = server.errors
+            errors = server.stats_payload()["errors"]
             await shut_down(server, executor, task)
             return response, errors
 

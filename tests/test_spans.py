@@ -331,7 +331,7 @@ class TestExecutorTracing:
             executor.shutdown()
             sink.close()
         assert result.ok and result.entailed is True
-        assert executor.retries == 1
+        assert registry.counter("service.retries").value == 1
 
         events, skipped = read_trace_dir(trace_dir)
         assert skipped == 0

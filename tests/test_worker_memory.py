@@ -76,7 +76,7 @@ def tenant_job(n):
 
 
 def run_jobs(store, first, count):
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     observer = MetricsObserver(registry)
     for n in range(first, first + count):
         registry.reset()
